@@ -19,7 +19,10 @@ and can produce a :class:`~repro.query.logical_plan.LogicalPlan`.
 
 from __future__ import annotations
 
+import re
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import QueryDefinitionError
 from .aggregates import Aggregate, make_aggregate
@@ -34,7 +37,13 @@ from .operators import (
     WindowOperator,
     make_tor_join,
 )
-from .records import IpToTorTable, Record
+from .records import (
+    IpToTorTable,
+    JobStatsRecord,
+    LogRecord,
+    Record,
+    RecordBatch,
+)
 
 
 def _parse_aggregate_spec(spec: str) -> Aggregate:
@@ -320,48 +329,157 @@ def t2t_probe_query(
 #: Substrings searched for by the LogAnalytics query's pattern filter.
 LOG_PATTERNS = ("tenant name", "job running time", "cpu util", "memory util")
 
+#: One alternation of :data:`LOG_PATTERNS`: a line matches it exactly when it
+#: contains any of the patterns.
+_LOG_PATTERN_RE = re.compile("|".join(re.escape(pattern) for pattern in LOG_PATTERNS))
 
-def _parse_job_stats(record: Record) -> Optional[Record]:
-    """Parse a ``key=value`` log line into a :class:`JobStatsRecord`."""
-    from .records import JobStatsRecord, LogRecord
 
-    if not isinstance(record, LogRecord):
-        return None
-    parts = record.line.split("=")
+# The LogAnalytics plan callables below each carry a ``columnar(batch)`` twin,
+# which ``MapOperator.process_batch`` / ``FilterOperator.process_batch`` call
+# instead of materializing records.  A map twin returns the output container
+# and a filter twin a row mask; both return ``None`` to fall back to the
+# per-record ``__call__``.  A twin must equal mapping ``__call__`` over
+# ``batch.to_records()`` row for row, sizes included.
+
+
+class _NormalizeLogLine:
+    """Picklable map: lower-case and strip a raw log line (pre-filter pass)."""
+
+    __slots__ = ()
+
+    def __call__(self, record: Record) -> Record:
+        if isinstance(record, LogRecord):
+            return LogRecord(record.event_time, record.line.strip().lower())
+        return record
+
+    def columnar(self, batch: RecordBatch) -> Optional[RecordBatch]:
+        if not issubclass(batch.record_class, LogRecord):
+            return batch
+        if batch.record_class is not LogRecord:
+            return None
+        lines = [line.strip().lower() for line in batch.columns["line"]]
+        return RecordBatch(
+            LogRecord,
+            {"event_time": batch.event_times, "line": lines},
+            sizes=[max(1, len(line)) for line in lines],
+        )
+
+
+class _MatchesLogPattern:
+    """Picklable predicate: the log line mentions any of :data:`LOG_PATTERNS`."""
+
+    __slots__ = ()
+
+    def __call__(self, record: Record) -> bool:
+        line = getattr(record, "line", "")
+        return any(pattern in line for pattern in LOG_PATTERNS)
+
+    def columnar(self, batch: RecordBatch) -> List[bool]:
+        lines = batch.column("line")
+        if lines is None:
+            return [False] * len(batch)
+        search = _LOG_PATTERN_RE.search
+        return [search(line) is not None for line in lines]
+
+
+def _parse_log_line(line: str) -> Optional[Tuple[str, str, float]]:
+    """``(tenant, stat_name, stat)`` of a ``key=value`` log line, or None."""
+    parts = line.split("=")
     if len(parts) < 3:
         return None
-    tenant = parts[1].split(";")[0].strip()
-    stat_name = parts[-2].split(";")[-1].strip()
     try:
         stat = float(parts[-1].strip())
     except ValueError:
         return None
-    return JobStatsRecord(record.event_time, tenant, stat_name, stat)
+    tenant = parts[1].split(";")[0].strip()
+    stat_name = parts[-2].split(";")[-1].strip()
+    return tenant, stat_name, stat
 
 
-def _bucketize(record: Record) -> Record:
-    """Bucketize the parsed statistic into 10 equal-width buckets over [0, 100]."""
-    from .records import JobStatsRecord
+class _ParseJobStats:
+    """Picklable map: parse a ``key=value`` log line into a :class:`JobStatsRecord`."""
 
-    if isinstance(record, JobStatsRecord):
-        bucket = min(10, max(0, int(record.stat // 10)))
-        return JobStatsRecord(record.event_time, record.tenant, record.stat_name, bucket)
-    return record
+    __slots__ = ()
+
+    def __call__(self, record: Record) -> Optional[Record]:
+        if not isinstance(record, LogRecord):
+            return None
+        parsed = _parse_log_line(record.line)
+        if parsed is None:
+            return None
+        return JobStatsRecord(record.event_time, *parsed)
+
+    def columnar(self, batch: RecordBatch) -> Optional[RecordBatch]:
+        if batch.record_class is not LogRecord:
+            return None
+        kept: List[int] = []
+        tenants: List[str] = []
+        stat_names: List[str] = []
+        stats: List[float] = []
+        for index, line in enumerate(batch.columns["line"]):
+            parsed = _parse_log_line(line)
+            if parsed is None:
+                continue
+            kept.append(index)
+            tenants.append(parsed[0])
+            stat_names.append(parsed[1])
+            stats.append(parsed[2])
+        times = batch.event_times
+        return RecordBatch(
+            JobStatsRecord,
+            {
+                "event_time": (
+                    times[kept] if isinstance(times, np.ndarray) else [times[i] for i in kept]
+                ),
+                "tenant": tenants,
+                "stat_name": stat_names,
+                "stat": np.array(stats, dtype=np.float64),
+            },
+            sizes=[
+                24 + len(tenant) + len(name) for tenant, name in zip(tenants, stat_names)
+            ],
+        )
 
 
-def _normalize_log_line(record: Record) -> Record:
-    """Lower-case and strip a raw log line (pre-filter normalisation pass)."""
-    from .records import LogRecord
+class _Bucketize:
+    """Picklable map: bucketize the parsed statistic into 10 equal-width
+    buckets over [0, 100] (values at or past 100 land in bucket 10)."""
 
-    if isinstance(record, LogRecord):
-        return LogRecord(record.event_time, record.line.strip().lower())
-    return record
+    __slots__ = ()
+
+    def __call__(self, record: Record) -> Record:
+        if isinstance(record, JobStatsRecord):
+            bucket = min(10, max(0, int(record.stat // 10)))
+            return JobStatsRecord(
+                record.event_time, record.tenant, record.stat_name, bucket
+            )
+        return record
+
+    def columnar(self, batch: RecordBatch) -> Optional[RecordBatch]:
+        if not issubclass(batch.record_class, JobStatsRecord):
+            return batch
+        if batch.record_class is not JobStatsRecord:
+            return None
+        stats = np.asarray(batch.columns["stat"], dtype=np.float64)
+        if not np.isfinite(stats).all():
+            # ``int(nan // 10)`` raises; let the object path raise it.
+            return None
+        # numpy's float floor division follows Python's ``//``; clipping
+        # before the int round trip keeps huge values from overflowing and
+        # turns -0.0 into the object path's 0.0.
+        buckets = np.clip(np.floor_divide(stats, 10.0), 0, 10).astype(np.int64)
+        return RecordBatch(
+            JobStatsRecord,
+            {**batch.columns, "stat": buckets.astype(np.float64)},
+            uniform_size_bytes=batch.uniform_size_bytes,
+            sizes=batch.sizes,
+        )
 
 
-def _matches_log_pattern(record: Record) -> bool:
-    """True when the log line mentions any of :data:`LOG_PATTERNS`."""
-    line = getattr(record, "line", "")
-    return any(pattern in line for pattern in LOG_PATTERNS)
+_normalize_log_line = _NormalizeLogLine()
+_matches_log_pattern = _MatchesLogPattern()
+_parse_job_stats = _ParseJobStats()
+_bucketize = _Bucketize()
 
 
 def log_analytics_query(window_s: float = 10.0, name: str = "log_analytics") -> Query:

@@ -41,6 +41,7 @@ from .aggregates import (
 from .records import (
     AGGREGATE_ROW_BYTES,
     AggregateRecord,
+    ENRICHED_PINGMESH_RECORD_BYTES,
     EnrichedPingmeshRecord,
     IpToTorTable,
     Record,
@@ -237,6 +238,10 @@ class FilterOperator(Operator):
     ``getattr(record, field, <something != value>) == value`` so the batched
     path can evaluate it as one comparison per column entry (records without
     the field fail the filter, matching the ``getattr`` default).
+
+    A predicate may also carry a columnar twin, ``predicate.columnar(batch)``,
+    returning the row mask ``predicate`` would give each materialized record
+    (or ``None`` to fall back); the canned LogAnalytics filter does.
     """
 
     kind = "filter"
@@ -265,10 +270,15 @@ class FilterOperator(Operator):
             if isinstance(column, np.ndarray):
                 return batch.compress(column == target)
             return batch.compress([value == target for value in column])
-        # No columnar hint: materialize and run the object path.  Evaluating
-        # an opaque predicate against row views would silently change its
-        # answer whenever it does more than attribute access (isinstance
-        # checks, Record methods), breaking the bit-identical contract.
+        columnar = getattr(self.predicate, "columnar", None)
+        if columnar is not None:
+            mask = columnar(batch)
+            if mask is not None:
+                return batch.compress(mask)
+        # Opaque predicate: materialize and run the object path.  Evaluating
+        # it against row views would silently change its answer whenever it
+        # does more than attribute access (isinstance checks, Record
+        # methods), breaking the bit-identical contract.
         return self.process(batch.to_records())
 
     def clone(self) -> "FilterOperator":
@@ -283,12 +293,14 @@ class MapOperator(Operator):
     The transformation may return a record, ``None`` (drop), or a list of
     records (flat-map), which covers parsing/splitting of text logs in the
     LogAnalytics query (Listing 3).
+
+    A function may carry a columnar twin, ``fn.columnar(batch)``, returning
+    the container mapping ``fn`` over the materialized records would give
+    (or ``None`` to fall back); the canned LogAnalytics maps do.  An opaque
+    user function materializes records.
     """
 
     kind = "map"
-    #: The user function is an opaque per-record callable, so there is no
-    #: columnar evaluation; batched mode materializes records (simlint SL006).
-    process_batch_fallback = True
 
     def __init__(
         self,
@@ -311,6 +323,14 @@ class MapOperator(Operator):
                 output.append(result)
         return output
 
+    def process_batch(self, batch: RecordBatch) -> "RecordBatch | List[Record]":
+        columnar = getattr(self.fn, "columnar", None)
+        if columnar is not None:
+            output = columnar(batch)
+            if output is not None:
+                return output
+        return self.process(batch.to_records())
+
     def clone(self) -> "MapOperator":
         return MapOperator(self.name, self.fn, self.cost_hint)
 
@@ -323,12 +343,16 @@ class JoinOperator(Operator):
     Its per-record cost grows with the table size (hash-table lookups with
     irregular access patterns), which the cost model captures through
     :attr:`table_size`.
+
+    The columnar path needs twins on both callables: ``key_fn.columnar(batch)``
+    returns the int64 lookup keys, and ``combine_fn.columnar(matched,
+    table_values)`` the combined batch of the matched rows (either returns
+    ``None`` to fall back).  The canned ToR join (:func:`make_tor_join`) has
+    both, so it runs as one bulk :meth:`IpToTorTable.lookup_many`; opaque
+    callables materialize records.
     """
 
     kind = "join"
-    #: Lookup/combine are opaque per-record callables; batched mode
-    #: materializes records through the default path (simlint SL006).
-    process_batch_fallback = True
 
     def __init__(
         self,
@@ -359,6 +383,21 @@ class JoinOperator(Operator):
             if combined is not None:
                 output.append(combined)
         return output
+
+    def process_batch(self, batch: RecordBatch) -> "RecordBatch | List[Record]":
+        key_twin = getattr(self.key_fn, "columnar", None)
+        combine_twin = getattr(self.combine_fn, "columnar", None)
+        if key_twin is not None and combine_twin is not None:
+            keys = key_twin(batch)
+            if keys is not None:
+                values, found = self.table.lookup_many(keys)
+                matched = batch.compress(found)
+                if len(matched) < len(batch):
+                    values = values[found]
+                output = combine_twin(matched, values)
+                if output is not None:
+                    return output
+        return self.process(batch.to_records())
 
     def clone(self) -> "JoinOperator":
         return JoinOperator(
@@ -1273,6 +1312,16 @@ class _TorJoinKey:
         data = record.as_dict()
         return int(data["src_ip" if self.side == "src" else "dst_ip"])
 
+    def columnar(self, batch: RecordBatch) -> Optional[np.ndarray]:
+        """The keys as one int64 array, or None when not integer-valued."""
+        column = batch.column("src_ip" if self.side == "src" else "dst_ip")
+        if column is None:
+            return None
+        keys = np.asarray(column)
+        if keys.dtype.kind not in "iu":
+            return None
+        return keys.astype(np.int64, copy=False)
+
 
 class _TorJoinCombine:
     """Picklable join combiner: enrich one endpoint with its ToR id."""
@@ -1298,6 +1347,38 @@ class _TorJoinCombine:
             src_tor=src_tor,
             dst_tor=dst_tor,
             err_code=int(data.get("err_code", 0)),
+        )
+
+    def columnar(
+        self, batch: RecordBatch, tor_ids: np.ndarray
+    ) -> Optional[RecordBatch]:
+        """The enriched batch: ``__call__`` on every row, as int64/float64
+        columns (the enriched constructor resets both cluster ids to 0).
+        None when a field ``__call__`` requires is missing."""
+        if any(batch.column(name) is None for name in ("src_ip", "dst_ip", "rtt_us")):
+            return None
+        count = len(batch)
+
+        def ints(name: str, default: int) -> np.ndarray:
+            column = batch.column(name)
+            if column is None:
+                return np.full(count, default, dtype=np.int64)
+            return np.asarray(column, dtype=np.int64)
+
+        return RecordBatch(
+            EnrichedPingmeshRecord,
+            {
+                "event_time": batch.event_times,
+                "src_ip": np.asarray(batch.column("src_ip"), dtype=np.int64),
+                "dst_ip": np.asarray(batch.column("dst_ip"), dtype=np.int64),
+                "src_cluster": np.zeros(count, dtype=np.int64),
+                "dst_cluster": np.zeros(count, dtype=np.int64),
+                "rtt_us": np.asarray(batch.column("rtt_us"), dtype=np.float64),
+                "err_code": ints("err_code", 0),
+                "src_tor": tor_ids if self.side == "src" else ints("src_tor", -1),
+                "dst_tor": tor_ids if self.side == "dst" else ints("dst_tor", -1),
+            },
+            uniform_size_bytes=ENRICHED_PINGMESH_RECORD_BYTES,
         )
 
 

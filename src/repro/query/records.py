@@ -72,6 +72,10 @@ def _column_list(column: ColumnData) -> List[Any]:
 #: dst cluster (4B) + RTT us (4B) + error code (4B) + framing = 86B total.
 PINGMESH_RECORD_BYTES = 86
 
+#: Wire size of a ToR-enriched probe after the join's projection: the
+#: (srcToR, dstToR, rtt) triple plus the timestamp.
+ENRICHED_PINGMESH_RECORD_BYTES = 24
+
 #: Conservative serialized size of an aggregate output row (group key pair +
 #: three RTT statistics + window metadata).
 AGGREGATE_ROW_BYTES = 48
@@ -187,8 +191,7 @@ class EnrichedPingmeshRecord(PingmeshRecord):
 
     @property
     def size_bytes(self) -> int:
-        # Projected down to (srcToR, dstToR, rtt) plus the timestamp.
-        return 24
+        return ENRICHED_PINGMESH_RECORD_BYTES
 
     def key(self) -> Tuple[Any, ...]:
         return (self.src_tor, self.dst_tor)
@@ -899,6 +902,13 @@ class IpToTorTable:
 
     def __init__(self, mapping: Optional[Dict[int, int]] = None) -> None:
         self._mapping: Dict[int, int] = dict(mapping or {})
+        #: Sorted keys and their ToR ids, the index :meth:`lookup_many`
+        #: binary-searches (tables are never mutated, only swapped whole).
+        ips = sorted(self._mapping)
+        self._sorted_ips: np.ndarray = np.array(ips, dtype=np.int64)
+        self._sorted_tors: np.ndarray = np.array(
+            [self._mapping[ip] for ip in ips], dtype=np.int64
+        )
 
     @classmethod
     def dense(cls, num_servers: int, servers_per_tor: int = 40) -> "IpToTorTable":
@@ -917,6 +927,24 @@ class IpToTorTable:
     def lookup(self, ip: int) -> Optional[int]:
         """Return the ToR id for ``ip`` or ``None`` if the IP is unknown."""
         return self._mapping.get(ip)
+
+    def lookup_many(self, ips: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Bulk :meth:`lookup`: ``(tor_ids, found_mask)`` for an int64 array.
+
+        ``found_mask[i]`` is whether ``ips[i]`` is in the table, and
+        ``tor_ids[i]`` its ToR id when it is (-1 when it is not; the mask,
+        not the id, says which rows matched, since 0 is a valid ToR id).
+        """
+        ips = np.asarray(ips, dtype=np.int64)
+        known = self._sorted_ips
+        if not len(known):
+            missing = np.zeros(len(ips), dtype=bool)
+            return np.full(len(ips), -1, dtype=np.int64), missing
+        slots = np.searchsorted(known, ips)
+        np.minimum(slots, len(known) - 1, out=slots)
+        found = known[slots] == ips
+        tor_ids = np.where(found, self._sorted_tors[slots], np.int64(-1))
+        return tor_ids, found
 
     def __len__(self) -> int:
         return len(self._mapping)

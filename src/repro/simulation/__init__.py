@@ -69,7 +69,14 @@ every epoch (allocation-free steady state; anything that outlives the epoch
 is detached through :meth:`~repro.query.records.FleetArena.own`).  Arena
 mode also flips the operators' ``vector_mode``, enabling columnar segmented
 group folds (``np.add.reduceat`` over packed keys) on the source and SP
-pipelines.  Object and batched stay the reference implementations: all
+pipelines.  The canned operators of all three paper queries are columnar
+in both fast modes — the probe filters, the T2TProbe ToR joins (one bulk
+table lookup per batch), the LogAnalytics maps and pattern filter (each
+plan callable carries a ``columnar`` twin) and the group-aggregates — so a
+batch never turns back into record objects between the workload and the
+group-aggregate.  ``map``/``filter``/``join`` given opaque user callables
+still materialize records for that operator.  Object and batched stay the
+reference implementations: all
 three modes produce bit-identical metrics — an equivalence the test suite
 enforces per epoch, per source, on the Figure 10 and Figure 11
 configurations and under random migration schedules.

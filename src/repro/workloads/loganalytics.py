@@ -21,9 +21,11 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional
 
+import numpy as np
+
 from ..errors import WorkloadError, require_finite
 from ..query.builder import Query, log_analytics_query
-from ..query.records import LogRecord, half_up
+from ..query.records import LogRecord, RecordBatch, half_up
 from ..simulation.cost_model import CostModel, calibrate_cost_model
 
 #: Default simulated lines per one-second epoch at "10x" scaling.
@@ -141,12 +143,25 @@ class LogAnalyticsWorkload:
 
     def records_for_epoch(self, epoch: int) -> List[LogRecord]:
         """Log records arriving during ``epoch`` (epoch duration = 1 s)."""
-        cfg = self.config
-        records: List[LogRecord] = []
-        for i in range(cfg.lines_per_epoch):
-            event_time = float(epoch) + i / max(1, cfg.lines_per_epoch)
-            records.append(LogRecord(event_time, self._log_line()))
-        return records
+        return self.batch_for_epoch(epoch).to_records()
+
+    def batch_for_epoch(self, epoch: int) -> RecordBatch:
+        """One epoch's log stream as a columnar batch.
+
+        Line ``i`` arrives at ``epoch + i / lines_per_epoch`` and the lines
+        are drawn one after another from the seeded generator, so the
+        stream is deterministic per seed in every record mode.
+        """
+        count = self.config.lines_per_epoch
+        lines = [self._log_line() for _ in range(count)]
+        return RecordBatch(
+            LogRecord,
+            {
+                "event_time": float(epoch) + np.arange(count) / max(1, count),
+                "line": lines,
+            },
+            sizes=[max(1, len(line)) for line in lines],
+        )
 
 
 def log_analytics_cost_model(

@@ -14,6 +14,8 @@ fast modes under arbitrary fleets (hypothesis property).
 
 from __future__ import annotations
 
+import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -36,8 +38,17 @@ from repro.query.aggregates import (
     MinAggregate,
     SumAggregate,
 )
+from repro.query.builder import (
+    _bucketize,
+    _matches_log_pattern,
+    _normalize_log_line,
+    _parse_job_stats,
+)
+from repro.query.operators import FilterOperator, MapOperator, make_tor_join
 from repro.query.records import (
     FleetArena,
+    IpToTorTable,
+    LogRecord,
     PingmeshRecord,
     RecordBatch,
     RecordRowView,
@@ -45,9 +56,11 @@ from repro.query.records import (
 )
 from repro.simulation.engine import EpochEngine, RECORD_MODES, validate_record_mode
 from repro.simulation.executor import BuildingBlockExecutor, ExecutorConfig
+from repro.simulation.multiquery import CoLocatedBlockExecutor, QuerySpec
 from repro.simulation.multisource import (
     MultiSourceConfig,
     MultiSourceExecutor,
+    SourceSpec,
     homogeneous_sources,
 )
 from repro.simulation.network import plan_fifo_transfer
@@ -646,3 +659,283 @@ class TestEngineSingleHome:
         assert engine.epochs_run == 1
         with pytest.raises(SimulationError):
             engine.ensure_fresh()
+
+
+# -- T2TProbe and LogAnalytics: columnar operators --------------------------------
+
+#: Per-source budgets spanning starved to comfortable, so Jarvis drains
+#: records to the SP at every stage of both queries.
+MIXED_BUDGETS = (0.05, 0.15, 0.3, 0.6)
+
+
+@pytest.fixture(scope="module")
+def t2t_setup():
+    return make_setup("t2t_probe", records_per_epoch=120)
+
+
+@pytest.fixture(scope="module")
+def log_setup():
+    return make_setup("log_analytics", records_per_epoch=120)
+
+
+def run_mixed_fleet(setup, strategy_name, record_mode, num_epochs=14):
+    """Per-epoch per-source metrics of a mixed-budget fleet, plus the set of
+    stage indices at which drained records entered the SP."""
+    specs = [
+        SourceSpec(
+            name=f"source-{index}",
+            workload=setup.workload_factory(50 + index),
+            strategy=make_strategy(strategy_name, setup, budget),
+            budget=budget,
+        )
+        for index, budget in enumerate(MIXED_BUDGETS)
+    ]
+    executor = MultiSourceExecutor(
+        plan=setup.plan,
+        cost_model=setup.cost_model,
+        sources=specs,
+        cluster_config=MultiSourceConfig(config=setup.config, record_mode=record_mode),
+    )
+    drained_stages = set()
+    process_arrivals = executor.sp_pipeline.process_arrivals
+
+    def spy(*args, **kwargs):
+        drained_stages.update(index for index, _ in kwargs.get("drained", ()))
+        return process_arrivals(*args, **kwargs)
+
+    executor.sp_pipeline.process_arrivals = spy
+    epochs = [executor.run_epoch() for _ in range(num_epochs)]  # crosses a window
+    assert executor.verify_record_conservation() == [], record_mode
+    return epochs, drained_stages
+
+
+class TestT2TAndLogAnalyticsEquivalence:
+    """The columnar join, log maps and log filter keep every mode bit-exact."""
+
+    @pytest.mark.parametrize(
+        "query, strategy_name",
+        [
+            ("t2t", "Best-OP"),
+            ("t2t", "Jarvis"),
+            ("log", "Filter-Src"),
+            ("log", "Jarvis"),
+        ],
+    )
+    def test_modes_bit_exact_per_epoch_per_source(
+        self, t2t_setup, log_setup, query, strategy_name
+    ):
+        setup = t2t_setup if query == "t2t" else log_setup
+        runs = {mode: run_mixed_fleet(setup, strategy_name, mode) for mode in RECORD_MODES}
+        obj_epochs, obj_stages = runs["object"]
+        for mode in ("batched", "arena"):
+            epochs, stages = runs[mode]
+            assert stages == obj_stages, mode
+            assert epochs == obj_epochs, mode
+        if strategy_name == "Jarvis":
+            assert obj_stages == set(range(len(setup.plan.operators)))
+
+    @pytest.mark.parametrize("query", ["t2t", "log"])
+    def test_arena_run_never_materializes_records(
+        self, t2t_setup, log_setup, query, monkeypatch
+    ):
+        """Arena mode stays on RecordBatch from the workload to the
+        group-aggregate: no operator falls back to record objects."""
+        setup = t2t_setup if query == "t2t" else log_setup
+
+        def refuse(self):
+            raise AssertionError(f"materialized a {self.record_class.__name__} batch")
+
+        monkeypatch.setattr(RecordBatch, "to_records", refuse)
+        _, stages = run_mixed_fleet(setup, "Jarvis", "arena")
+        assert stages == set(range(len(setup.plan.operators)))
+
+    def test_colocated_three_queries_bit_exact(self):
+        setups = {
+            name: make_setup(name, records_per_epoch=100, rate_scale=scale)
+            for name, scale in (
+                ("s2s_probe", 1.0),
+                ("t2t_probe", 0.4),
+                ("log_analytics", 0.5),
+            )
+        }
+        strategies = {"s2s_probe": "Jarvis", "t2t_probe": "Best-OP", "log_analytics": "Jarvis"}
+        runs = {}
+        for mode in RECORD_MODES:
+            queries = [
+                QuerySpec(
+                    name=name,
+                    plan=setup.plan,
+                    cost_model=setup.cost_model,
+                    sources=[
+                        SourceSpec(
+                            name=f"{name}-{index}",
+                            workload=setup.workload_factory(70 + index),
+                            strategy=make_strategy(strategies[name], setup, budget),
+                            budget=budget,
+                        )
+                        for index, budget in enumerate(MIXED_BUDGETS[1:])
+                    ],
+                    config=setup.config,
+                )
+                for name, setup in setups.items()
+            ]
+            nominal = sum(
+                len(query.sources) * setups[query.name].input_rate_mbps
+                for query in queries
+            )
+            executor = CoLocatedBlockExecutor(
+                queries,
+                stream_processor=StreamProcessorNode(
+                    ingress_bandwidth_mbps=0.7 * nominal
+                ),
+                record_mode=mode,
+            )
+            runs[mode] = [executor.run_epoch() for _ in range(12)]
+        for mode in ("batched", "arena"):
+            assert runs[mode] == runs["object"], mode
+
+
+# Log lines the generator emits, and the shapes a parser must survive.
+_tenants = st.integers(min_value=0, max_value=999).map(lambda i: f"tenant_{i:03d}")
+_stat_names = st.sampled_from(("job running time", "cpu util", "memory util"))
+_stat_text = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(min_value=-50.0, max_value=150.0).map(lambda v: f"{v:.2f}"),
+    st.sampled_from(("100.0", "99.99", "-0.0", "1e400", "nan", "abc", "", "1.2.3", "1_000")),
+)
+_log_lines = st.one_of(
+    st.builds(
+        lambda tenant, name, value: (
+            f"Tenant Name={tenant}; job_id=j00042; cluster=cosmos-east; {name}={value}"
+        ),
+        _tenants,
+        _stat_names,
+        _stat_text,
+    ),
+    st.builds(lambda tenant, name: f"Tenant Name={tenant}; {name}", _tenants, _stat_names),
+    st.builds(
+        lambda node: f"INFO scheduler heartbeat node={node:03d} queue_depth=7 status=ok",
+        st.integers(min_value=0, max_value=999),
+    ),
+    st.text(alphabet=st.sampled_from(" =;.aAeTcpu01x\t"), max_size=40),
+)
+
+
+def log_batch(lines, start=3.0):
+    return RecordBatch(
+        LogRecord,
+        {
+            "event_time": start + np.arange(len(lines)) / max(1, len(lines)),
+            "line": list(lines),
+        },
+        sizes=[max(1, len(line)) for line in lines],
+    )
+
+
+def rows(container):
+    """(class, fields, size) per row of a batch or a record list; fields
+    compare by ``repr`` so NaN equals NaN and -0.0 differs from 0.0."""
+    records = container.to_records() if isinstance(container, RecordBatch) else container
+    return [(type(r), repr(r.as_dict()), r.size_bytes) for r in records]
+
+
+def mapped(fn, records):
+    out = []
+    for record in records:
+        result = fn(record)
+        if result is not None:
+            out.append(result)
+    return out
+
+
+class TestColumnarTwins:
+    """Each columnar twin equals mapping its ``__call__`` over the records."""
+
+    @given(lines=st.lists(_log_lines, max_size=30))
+    @settings(max_examples=150, deadline=None)
+    def test_log_twins_match_per_record_calls(self, lines):
+        batch = log_batch(lines)
+        normalized = _normalize_log_line.columnar(batch)
+        assert rows(normalized) == rows(mapped(_normalize_log_line, batch.to_records()))
+
+        mask = _matches_log_pattern.columnar(normalized)
+        assert list(mask) == [
+            _matches_log_pattern(record) for record in normalized.to_records()
+        ]
+        matching = normalized.compress(mask)
+
+        parsed = _parse_job_stats.columnar(matching)
+        assert rows(parsed) == rows(mapped(_parse_job_stats, matching.to_records()))
+
+        bucketized = _bucketize.columnar(parsed)
+        try:
+            expected = mapped(_bucketize, parsed.to_records())
+        except ValueError:  # int(nan // 10): the twin must defer to this
+            assert bucketized is None
+        else:
+            assert rows(bucketized) == rows(expected)
+
+    def test_bucketize_edges(self):
+        lines = [
+            f"tenant name=t; cpu util={value}"
+            for value in ("100.0", "99.99", "0.0", "-0.0", "-3.5", "1e300", "10.0")
+        ]
+        parsed = _parse_job_stats.columnar(log_batch(lines))
+        buckets = _bucketize.columnar(parsed).columns["stat"].tolist()
+        assert buckets == [10.0, 9.0, 0.0, 0.0, 0.0, 10.0, 1.0]
+        assert all(math.copysign(1.0, bucket) == 1.0 for bucket in buckets)
+
+    def test_twins_pass_foreign_record_types_through(self, setup):
+        probes = setup.workload_factory(2).batch_for_epoch(0)
+        assert _normalize_log_line.columnar(probes) is probes
+        assert _bucketize.columnar(probes) is probes
+        assert not any(_matches_log_pattern.columnar(probes))
+        assert _parse_job_stats.columnar(probes) is None  # falls back: all dropped
+        assert MapOperator("m", _parse_job_stats).process_batch(probes) == []
+
+    @pytest.mark.parametrize("side", ["src", "dst"])
+    def test_tor_join_twin_matches_per_record_join(self, t2t_setup, side):
+        batch = t2t_setup.workload_factory(4).batch_for_epoch(0)
+        ips = sorted(set(batch.columns["dst_ip"].tolist()))
+        # A sparse table: every third IP is unknown, and ToR id 0 is used.
+        table = IpToTorTable(
+            {ip: index % 5 for index, ip in enumerate(ips) if index % 3}
+            | {int(batch.columns["src_ip"][0]): 0}
+        )
+        join = make_tor_join("join", table, side)
+        for rows_in in (batch, join.process_batch(batch)):  # raw and enriched input
+            columnar = join.process_batch(rows_in)
+            assert isinstance(columnar, RecordBatch)
+            assert columnar.columns[f"{side}_tor"].dtype == np.int64
+            assert rows(columnar) == rows(join.process(rows_in.to_records()))
+
+    def test_opaque_callables_still_fall_back(self, setup):
+        batch = setup.workload_factory(2).batch_for_epoch(0)
+        keep_odd = FilterOperator("f", lambda record: record.dst_ip % 2 == 1)
+        assert rows(keep_odd.process_batch(batch)) == rows(
+            keep_odd.process(batch.to_records())
+        )
+        double = MapOperator("m", lambda record: [record, record])
+        assert len(double.process_batch(batch)) == 2 * len(batch)
+
+
+class TestPlanPickling:
+    """Plans embedding the columnar callables cross process boundaries (the
+    migration handoff and the worker pool pickle them)."""
+
+    @pytest.mark.parametrize("query", ["t2t", "log"])
+    def test_plan_round_trip_keeps_columnar_twins(self, t2t_setup, log_setup, query):
+        setup = t2t_setup if query == "t2t" else log_setup
+        plan = pickle.loads(pickle.dumps(setup.plan))
+        workload = setup.workload_factory(9)
+        original = [op.clone() for op in setup.plan.operators]
+        restored = [op.clone() for op in plan.operators]
+        current = restored_current = workload.batch_for_epoch(0)
+        for before, after in zip(original, restored):
+            assert type(before) is type(after)
+            for attr in ("fn", "predicate", "key_fn", "combine_fn"):
+                if hasattr(before, attr):
+                    assert type(getattr(after, attr)) is type(getattr(before, attr))
+            current = before.process_batch(current)
+            restored_current = after.process_batch(restored_current)
+            assert rows(current) == rows(restored_current)

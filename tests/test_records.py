@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, JarvisError, SimulationError
@@ -174,6 +175,40 @@ class TestIpToTorTable:
         table = IpToTorTable({7: 3})
         assert table.lookup(7) == 3
         assert len(table) == 1
+
+    @staticmethod
+    def assert_bulk_matches_scalar(table, ips):
+        tor_ids, found = table.lookup_many(np.asarray(ips, dtype=np.int64))
+        assert tor_ids.dtype == np.int64 and found.dtype == bool
+        assert len(tor_ids) == len(found) == len(ips)
+        for ip, tor_id, hit in zip(ips, tor_ids.tolist(), found.tolist()):
+            expected = table.lookup(ip)
+            assert hit == (expected is not None), ip
+            if hit:
+                assert tor_id == expected, ip
+
+    def test_lookup_many_dense(self):
+        table = IpToTorTable.dense(100, servers_per_tor=10)
+        # Unknown IPs on both sides of the key range; IPs 0-9 map to ToR 0.
+        ips = [0, 5, 9, 10, 99, 100, -1, 1000, 42, 0]
+        self.assert_bulk_matches_scalar(table, ips)
+        tor_ids, found = table.lookup_many(np.asarray(ips, dtype=np.int64))
+        assert found.tolist() == [True] * 5 + [False] * 3 + [True, True]
+        assert tor_ids[:3].tolist() == [0, 0, 0]
+
+    def test_lookup_many_sparse(self):
+        table = IpToTorTable({3_000_000_000: 0, 17: 5, 4: 0, 900: 12})
+        ips = [17, 18, 4, 3, 900, 901, 3_000_000_000, 0, 2**40]
+        self.assert_bulk_matches_scalar(table, ips)
+        _, found = table.lookup_many(np.asarray(ips, dtype=np.int64))
+        assert found.tolist() == [True, False, True, False, True, False, True, False, False]
+
+    def test_lookup_many_empty_inputs(self):
+        tor_ids, found = IpToTorTable().lookup_many(np.asarray([1, 2], dtype=np.int64))
+        assert found.tolist() == [False, False]
+        assert len(tor_ids) == 2
+        tor_ids, found = IpToTorTable.dense(10).lookup_many(np.empty(0, dtype=np.int64))
+        assert len(tor_ids) == len(found) == 0
 
 
 class TestHalfUp:
