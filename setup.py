@@ -1,9 +1,9 @@
 """Setuptools entry point.
 
-Declares the package layout and the ``[test]`` extra (pytest plus hypothesis
-for the property-based suites under ``tests/``).  Runtime dependencies are
-limited to numpy; scipy is optional (the LP solver falls back to a greedy
-plan when it is absent).
+Declares the package layout, the runtime dependencies, and the ``[test]``
+extra (pytest plus hypothesis for the property-based suites under
+``tests/``).  Runtime dependencies are numpy and scipy: the LP solver uses
+scipy's HiGHS backend, and the scenario goldens are recorded from its plans.
 """
 
 from setuptools import find_packages, setup
@@ -20,9 +20,9 @@ setup(
     python_requires=">=3.10",
     install_requires=[
         "numpy",
+        "scipy",
     ],
     extras_require={
-        "lp": ["scipy"],
         "test": [
             "pytest",
             "pytest-benchmark",

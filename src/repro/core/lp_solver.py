@@ -33,11 +33,14 @@ from ..errors import SolverError
 from .control_proxy import load_factors_from_effective
 from .profiler import PipelineProfile
 
-try:  # scipy is a hard dependency, but keep the import failure explainable.
+# scipy is a runtime dependency (``install_requires`` in setup.py; every CI
+# job that runs the simulator installs it).  A broken install still gets a
+# feasible plan from the fallback, but not the HiGHS plans the goldens hold.
+try:
     from scipy.optimize import linprog
 
     _HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - scipy is installed in CI
+except ImportError:  # pragma: no cover - scipy is a declared dependency
     _HAVE_SCIPY = False
 
 

@@ -83,22 +83,22 @@ configurations and under random migration schedules.
 
 **Process-parallel execution** puts the sharded lockstep on real cores:
 :class:`~repro.simulation.parallel.ParallelBlockController`
-(:mod:`repro.simulation.parallel`) steps the K blocks of each epoch across
-a persistent pool of forked worker processes instead of a serial loop.
+(:mod:`repro.simulation.parallel`) is a :class:`ShardedClusterExecutor`
+whose blocks live in a persistent pool of forked worker processes.  All
+fleet bookkeeping — placement, the :class:`MigrationPolicy` loop, migration
+events, run assembly, introspection — is the inherited serial code; the
+pool only overrides two private stepping seams, applying a per-block task
+to every block and handing a :class:`SourceMigrationState` between blocks.
 Workers adopt their blocks once, at construction, from a fork snapshot of
-the unstepped executor; in arena mode each block's
+the unstepped block list; in arena mode each block's
 :class:`~repro.query.records.FleetArena` column buffers live in
 ``multiprocessing.shared_memory`` segments (created, owned, and unlinked
 by the parent) so RecordBatch columns cross the process boundary without
-pickling, and per-epoch results return as compact metric structs.  Because
-blocks only interact between epochs, migration handoffs are the single
-cross-block synchronization point: the controller gathers end-of-epoch
-pressure signals, runs the :class:`MigrationPolicy` on the main process,
-and ships :class:`SourceMigrationState` between workers.  The serial
-:class:`ShardedClusterExecutor` stays the default and the reference — a
-``workers`` knob selects the pool, and parallel runs are bit-identical to
-serial per epoch per source in all three record modes, including under
-random live-migration schedules (test-enforced).
+pickling, and per-epoch results return as compact metric structs.  The
+serial executor stays the default and the reference — a ``workers`` knob
+selects the pool, and parallel runs are bit-identical to serial per epoch
+per source in all three record modes, including under random
+live-migration schedules (test-enforced).
 
 **Static contracts.** The invariants above are also enforced *statically* by
 ``simlint`` (``tools/simlint/``, run as ``python -m simlint src/`` with

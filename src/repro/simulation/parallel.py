@@ -1,23 +1,26 @@
-"""Process-parallel lockstep execution of sharded fleets.
+"""Process-parallel stepping backend for sharded fleets.
 
 The K blocks of a :class:`~repro.simulation.sharding.ShardedClusterExecutor`
 are independent within an epoch — they interact only through migration
 handoffs at epoch boundaries — yet the serial executor steps them one after
-another in a single Python process.  :class:`ParallelBlockController` runs
-the same blocks across a persistent pool of worker processes instead, with
-the serial executor kept (unstepped) on the main process as the bookkeeping
-authority for placement, migration policy, and metric assembly.
+another in a single Python process.  :class:`ParallelBlockController` is a
+subclass that keeps every piece of fleet bookkeeping (placement, migration
+policy and events, run assembly, introspection) in the base class and only
+swaps *where block state lives*: it overrides the executor's two stepping
+seams, ``_map_blocks`` and ``_handoff``, to run in a persistent pool of
+worker processes that own the blocks.
 
 Design notes, in the order they matter:
 
 * **Workers own blocks for the whole run.**  Block state (pipeline operator
   queues, strategies, carryover FIFOs) is large and mutable, so it must not
-  be shipped per epoch.  The controller builds the serial executor first,
-  publishes it through a module global, and forks one single-process
-  ``concurrent.futures.ProcessPoolExecutor`` per worker — the fork snapshot
-  hands every worker a bit-identical copy of the freshly constructed blocks
-  for free, without pickling workloads or strategies.  Block ``i`` is owned
-  by worker ``i % workers`` for the lifetime of the controller.
+  be shipped per epoch.  The controller builds its blocks on the main
+  process first, publishes the block list through a module global, and
+  forks one single-process ``concurrent.futures.ProcessPoolExecutor`` per
+  worker — the fork snapshot hands every worker a bit-identical copy of the
+  freshly constructed blocks for free, without pickling workloads or
+  strategies.  Block ``i`` is owned by worker ``i % workers`` for the
+  lifetime of the controller; the main-process copies are never stepped.
 * **Per-epoch traffic is compact.**  A worker steps its blocks and returns
   only frozen :class:`~repro.simulation.metrics.EpochMetrics` structs and
   the per-block :class:`~repro.simulation.metrics.ClusterEpochMetrics`;
@@ -33,13 +36,12 @@ Design notes, in the order they matter:
   back to heap buffers — correctness never depends on segment capacity.
   Segments are owned (created *and* unlinked) by the main process, so a
   crashed worker cannot leak ``/dev/shm`` blocks.
-* **Migration is the only cross-block sync point.**  The controller gathers
-  end-of-epoch pressure signals, runs the
-  :class:`~repro.simulation.sharding.MigrationPolicy` on the main process
-  with exactly the inputs the serial executor would pass, and executes each
-  move by detaching in the owning worker, pickling the
-  :class:`~repro.simulation.multisource.SourceMigrationState`, and
-  attaching in the destination worker before the next epoch.
+* **Migration is the only cross-block sync point.**  The inherited
+  ``run_epoch`` gathers end-of-epoch pressure signals and runs the
+  :class:`~repro.simulation.sharding.MigrationPolicy` on the main process;
+  each move detaches in the owning worker, pickles the
+  :class:`~repro.simulation.multisource.SourceMigrationState`, and attaches
+  in the destination worker before the next epoch.
 * **Bit-identity over speed.**  Blocks are stepped by the same code on
   forked copies of the same state, results are reassembled in block order,
   and the policy sees byte-identical inputs — so a parallel run is
@@ -66,7 +68,7 @@ import numpy as np
 from ..errors import SimulationError
 from ..query.physical_plan import PhysicalPlan
 from .cost_model import CostModel
-from .metrics import ClusterEpochMetrics, ClusterMetrics, EpochMetrics, RunMetrics
+from .metrics import EpochMetrics
 from .multisource import (
     MultiSourceConfig,
     MultiSourceExecutor,
@@ -93,10 +95,10 @@ _CLOSE_TIMEOUT_S = 30.0
 
 _SEGMENT_IDS = itertools.count()
 
-# Main-process side: the freshly built serial executor is published here for
-# the duration of the forks, so worker processes inherit the block objects
+# Main-process side: the freshly built block list is published here for the
+# duration of the forks, so worker processes inherit the block objects
 # through the fork snapshot instead of pickling them.
-_FORK_CONTEXT: Optional[ShardedClusterExecutor] = None
+_FORK_CONTEXT: Optional[List[MultiSourceExecutor]] = None
 
 # Worker-process side: the harness owning this worker's blocks.
 _WORKER: Optional["_WorkerHarness"] = None
@@ -161,7 +163,7 @@ def _worker_adopt(
     """First task in every worker: claim blocks from the fork snapshot.
 
     Runs after the fork, so ``_FORK_CONTEXT`` is this worker's private copy
-    of the freshly constructed serial executor.  In arena mode each claimed
+    of the freshly constructed block list.  In arena mode each claimed
     block's arena is rebased onto the main-created shared-memory segment;
     segment lifetime stays with the main process (see the attach comment
     below for the resource-tracker subtlety).
@@ -171,12 +173,12 @@ def _worker_adopt(
     if snapshot is None:
         raise SimulationError("fork context missing; controller misuse")
     _FORK_CONTEXT = None
-    blocks = {int(index): snapshot.blocks[index] for index in block_indices}
+    blocks = {int(index): snapshot[index] for index in block_indices}
     # The fork keeps the controller's constructor frames alive on this
-    # process's stack, and they reference the snapshot executor — emptying
-    # its block list here is what lets _worker_close actually free block
+    # process's stack, and the controller's ``blocks`` attribute is this very
+    # list — emptying it here is what lets _worker_close actually free block
     # state (and with it every numpy view into the shm segments).
-    snapshot.blocks = []
+    snapshot.clear()
     segments: Dict[int, shared_memory.SharedMemory] = {}
     for index, name in zip(block_indices, segment_names):
         if name is None:
@@ -193,30 +195,6 @@ def _worker_adopt(
             arena.set_buffer_allocator(_ShmBumpAllocator(shm))
     _WORKER = _WorkerHarness(blocks, segments)
     return sorted(blocks)
-
-
-def _worker_run_epoch() -> List[Tuple[int, Dict[str, EpochMetrics], ClusterEpochMetrics]]:
-    """Step every owned block one epoch; returns per-block results in order."""
-    harness = _require_worker()
-    out = []
-    for index in sorted(harness.blocks):
-        block = harness.blocks[index]
-        metrics = block.run_epoch()
-        out.append((index, metrics, block._last_cluster_epoch))
-    return out
-
-
-def _worker_run_blocks(
-    num_epochs: int, warmup_epochs: int
-) -> List[Tuple[int, ClusterMetrics]]:
-    """Run every owned block to completion (the no-migration fast path)."""
-    harness = _require_worker()
-    out = []
-    for index in sorted(harness.blocks):
-        metrics = harness.blocks[index].run(num_epochs, warmup_epochs=warmup_epochs)
-        metrics.metadata["block"] = index
-        out.append((index, metrics))
-    return out
 
 
 def _worker_detach(block_index: int, source_name: str) -> SourceMigrationState:
@@ -262,36 +240,23 @@ def _worker_close() -> bool:
     return True
 
 
-def _block_sp_backlog(index: int, block: MultiSourceExecutor) -> int:
-    return block.sp_backlog_records()
-
-
-def _block_conservation(index: int, block: MultiSourceExecutor) -> List[str]:
-    return block.verify_record_conservation()
-
-
-def _block_conservation_report(
-    index: int, block: MultiSourceExecutor
-) -> Dict[str, Dict[str, object]]:
-    return block.record_conservation_report()
-
-
 # ---------------------------------------------------------------------------
 # The controller.
 # ---------------------------------------------------------------------------
 
 
-class ParallelBlockController:
-    """Run a sharded fleet's K blocks across a persistent worker pool.
+class ParallelBlockController(ShardedClusterExecutor):
+    """A :class:`~repro.simulation.sharding.ShardedClusterExecutor` whose
+    blocks live in a persistent pool of worker processes.
 
-    Drop-in parallel counterpart of
-    :class:`~repro.simulation.sharding.ShardedClusterExecutor`: same
-    constructor shape plus a ``workers`` count, same ``run`` /
-    ``run_epoch`` / ``migrate`` / introspection surface, bit-identical
-    metrics (test-enforced per epoch per source in all three record modes,
-    including under migration schedules).  Serial lockstep remains the
-    default and the reference — this class is only selected when a
-    ``workers`` knob asks for it.
+    Same constructor plus a ``workers`` count; every public method is the
+    inherited one, so metrics are bit-identical to the serial executor
+    (test-enforced per epoch per source in all three record modes, including
+    under migration schedules).  Only the stepping seams are overridden:
+    ``_map_blocks`` runs a per-block task inside the owning workers and
+    ``_handoff`` ships a migrating source's state between them.  Serial
+    lockstep remains the default and the reference — this class is only
+    selected when a ``workers`` knob asks for it.
 
     The controller owns OS resources (worker processes, shared-memory
     segments): call :meth:`close` when done, or use it as a context
@@ -314,10 +279,9 @@ class ParallelBlockController:
     ) -> None:
         if workers <= 0:
             raise SimulationError(f"workers must be positive, got {workers!r}")
-        # The serial executor stays on the main process, never stepped: it is
-        # the authority for placement/migration bookkeeping and run metadata,
-        # and its freshly built blocks are the fork snapshot the workers claim.
-        self._serial = ShardedClusterExecutor(
+        # The main-process blocks are never stepped: their fresh state is the
+        # fork snapshot the workers claim.
+        super().__init__(
             plan=plan,
             cost_model=cost_model,
             sources=sources,
@@ -327,16 +291,10 @@ class ParallelBlockController:
             stream_processors=stream_processors,
             migration=migration,
         )
-        self._num_workers = min(int(workers), self._serial.num_blocks)
+        self._num_workers = min(int(workers), self.num_blocks)
         self._worker_of = {
-            index: index % self._num_workers
-            for index in range(self._serial.num_blocks)
+            index: index % self._num_workers for index in range(self.num_blocks)
         }
-        self._epoch = 0
-        self._migration_events: List[MigrationEvent] = []
-        self._placement_epochs: List[Dict[str, int]] = []
-        self._last_block_epochs: List[ClusterEpochMetrics] = []
-        self._last_cluster_epoch: Optional[ClusterEpochMetrics] = None
         self._pools: List[concurrent.futures.ProcessPoolExecutor] = []
         self._segments: List[shared_memory.SharedMemory] = []
         self._closed = False
@@ -348,19 +306,16 @@ class ParallelBlockController:
 
     def _start_workers(self, shm_bytes_per_block: int) -> None:
         global _FORK_CONTEXT
-        segment_names: List[Optional[str]] = [None] * self._serial.num_blocks
-        if (
-            self._serial.cluster_config.record_mode == "arena"
-            and shm_bytes_per_block > 0
-        ):
-            for index in range(self._serial.num_blocks):
+        segment_names: List[Optional[str]] = [None] * self.num_blocks
+        if self.cluster_config.record_mode == "arena" and shm_bytes_per_block > 0:
+            for index in range(self.num_blocks):
                 shm = shared_memory.SharedMemory(
                     name=_segment_name(), create=True, size=shm_bytes_per_block
                 )
                 self._segments.append(shm)
                 segment_names[index] = shm.name
         context = get_context("fork")
-        _FORK_CONTEXT = self._serial
+        _FORK_CONTEXT = self.blocks
         try:
             futures = []
             for worker in range(self._num_workers):
@@ -370,7 +325,7 @@ class ParallelBlockController:
                 self._pools.append(pool)
                 indices = [
                     index
-                    for index in range(self._serial.num_blocks)
+                    for index in range(self.num_blocks)
                     if self._worker_of[index] == worker
                 ]
                 # The first submit forks the worker, snapshotting the
@@ -456,11 +411,6 @@ class ParallelBlockController:
             self.close()
             raise
 
-    def _dispatch(self, fn: Callable[..., T], *args: Any) -> List[T]:
-        """Run one task on every worker; results in worker order."""
-        self._ensure_open()
-        return self._gather([pool.submit(fn, *args) for pool in self._pools])
-
     def _call_worker(self, worker: int, fn: Callable[..., T], *args: Any) -> T:
         self._ensure_open()
         return self._gather([self._pools[worker].submit(fn, *args)])[0]
@@ -469,229 +419,41 @@ class ParallelBlockController:
         """Apply a picklable ``fn(block_index, block)`` inside each worker.
 
         The introspection escape hatch: ``fn`` runs in the process that owns
-        each block's live state and its return value pickles back.  Used by
-        the conservation/backlog helpers below and by tests (e.g. probing
-        per-source RNG states without shipping whole blocks).
+        each block's live state and its return value pickles back (e.g.
+        probing per-source RNG states without shipping whole blocks).
         """
-        results = self._dispatch(_worker_map, fn)
-        return {
-            index: value
-            for worker_result in results
-            for index, value in worker_result
-        }
+        return dict(enumerate(self._map_blocks(fn)))
 
-    # -- introspection (mirrors ShardedClusterExecutor) ----------------------------
+    # -- stepping seams -----------------------------------------------------------
 
-    @property
-    def num_blocks(self) -> int:
-        return self._serial.num_blocks
-
-    @property
-    def num_sources(self) -> int:
-        return len(self._serial._assignment)
-
-    @property
-    def cluster_config(self) -> MultiSourceConfig:
-        return self._serial.cluster_config
-
-    @property
-    def migration(self) -> Optional[MigrationPolicy]:
-        return self._serial.migration
-
-    def source_names(self) -> List[str]:
-        """Fleet source names, grouped by block in placement order.
-
-        Derived from the main-process group bookkeeping (kept in sync by
-        :meth:`migrate`), since the main process's block copies never step.
-        """
-        return [spec.name for group in self._serial._groups for spec in group]
-
-    def block_of(self, source_name: str) -> int:
-        return self._serial.block_of(source_name)
-
-    def assignment(self) -> Dict[str, int]:
-        return self._serial.assignment()
-
-    def placement_report(self) -> Dict[str, object]:
-        return self._serial.placement_report()
-
-    def migration_events(self) -> List[MigrationEvent]:
-        return list(self._migration_events)
-
-    def sp_backlog_records(self) -> int:
-        """Records waiting for compute across every block (queried live)."""
-        return sum(self.map_blocks(_block_sp_backlog).values())
-
-    def verify_record_conservation(self) -> List[str]:
-        violations: List[str] = []
-        per_block = self.map_blocks(_block_conservation)
-        for index in range(self.num_blocks):
-            violations.extend(
-                f"block {index}: {violation}" for violation in per_block[index]
-            )
-        return violations
-
-    def record_conservation_report(self) -> Dict[str, Dict[str, object]]:
-        report: Dict[str, Dict[str, object]] = {}
-        per_block = self.map_blocks(_block_conservation_report)
-        for index in range(self.num_blocks):
-            report.update(per_block[index])
-        return report
-
-    # -- execution ----------------------------------------------------------------
-
-    def migrate(
-        self, source_name: str, to_block: int, reason: str = ""
-    ) -> MigrationEvent:
-        """Live-migrate one source between worker-owned blocks.
-
-        Same handoff protocol and validation as
-        :meth:`ShardedClusterExecutor.migrate`, executed where the state
-        lives: detach in the donor's worker, ship the pickled
-        ``SourceMigrationState`` through the main process, attach in the
-        recipient's worker, then update the main-process bookkeeping.
-        """
+    def _map_blocks(self, fn: Callable[[int, MultiSourceExecutor], T]) -> List[T]:
         self._ensure_open()
-        from_block = self._serial._validate_move(source_name, to_block)
+        results = self._gather(
+            [pool.submit(_worker_map, fn) for pool in self._pools]
+        )
+        by_index = dict(pair for worker_result in results for pair in worker_result)
+        return [by_index[index] for index in range(self.num_blocks)]
+
+    def _handoff(
+        self, source_name: str, from_block: int, to_block: int
+    ) -> SourceMigrationState:
         state = self._call_worker(
             self._worker_of[from_block], _worker_detach, from_block, source_name
         )
         self._call_worker(self._worker_of[to_block], _worker_attach, to_block, state)
-        self._serial._reassign(source_name, from_block, to_block)
-        event = MigrationEvent(
-            epoch=self._epoch,
-            source=source_name,
-            from_block=from_block,
-            to_block=to_block,
-            moved_bytes=state.requeue_bytes,
-            in_flight_records=state.in_flight_records,
-            reason=reason,
-        )
-        self._migration_events.append(event)
-        return event
+        return state
+
+    # -- execution ----------------------------------------------------------------
+    # The inherited paths reach the workers only through the seams above,
+    # which check the pool is open; these overrides check it up front so a
+    # refused call leaves the epoch counter and placement untouched.
 
     def run_epoch(self) -> Dict[str, EpochMetrics]:
-        """Step every block one epoch, all workers in parallel.
-
-        Results are reassembled in block order, so the returned fleet-wide
-        metrics dict — and the policy inputs derived from it — are
-        byte-identical to the serial executor's.  With a migration policy
-        configured, decisions are made on the main process and executed as
-        cross-worker handoffs before the next epoch.
-        """
         self._ensure_open()
-        self._epoch += 1
-        results = self._dispatch(_worker_run_epoch)
-        per_block: Dict[int, Tuple[Dict[str, EpochMetrics], ClusterEpochMetrics]] = {}
-        for worker_result in results:
-            for index, block_metrics, cluster_epoch in worker_result:
-                per_block[index] = (block_metrics, cluster_epoch)
-        metrics: Dict[str, EpochMetrics] = {}
-        block_epochs: List[ClusterEpochMetrics] = []
-        for index in range(self.num_blocks):
-            block_metrics, cluster_epoch = per_block[index]
-            metrics.update(block_metrics)
-            block_epochs.append(cluster_epoch)
-        self._last_block_epochs = block_epochs
-        self._last_cluster_epoch = ClusterEpochMetrics.merge(block_epochs)
-        policy = self._serial.migration
-        if policy is not None:
-            decisions = policy.decide(
-                epoch=self._epoch,
-                block_epochs=block_epochs,
-                assignment=self.assignment(),
-                offered_bytes={
-                    name: em.network_bytes_offered for name, em in metrics.items()
-                },
-            )
-            for decision in decisions:
-                self.migrate(
-                    decision.source, decision.to_block, reason=decision.reason
-                )
-            self._placement_epochs.append(self.assignment())
-        return metrics
+        return super().run_epoch()
 
-    def run(
-        self, num_epochs: int, warmup_epochs: Optional[int] = None
-    ) -> ClusterMetrics:
-        """Run ``num_epochs`` epochs; returns fleet-wide metrics.
-
-        Mirrors :meth:`ShardedClusterExecutor.run` exactly: without a
-        migration policy each worker runs its blocks to completion
-        independently (no per-epoch synchronization at all); with one, the
-        controller drives lockstep epochs with the policy in the loop.
-        """
+    def migrate(
+        self, source_name: str, to_block: int, reason: str = ""
+    ) -> MigrationEvent:
         self._ensure_open()
-        if num_epochs <= 0:
-            raise SimulationError(f"num_epochs must be positive, got {num_epochs!r}")
-        if self._epoch != 0:
-            raise SimulationError(
-                f"run() needs a fresh executor, but {self._epoch} epoch(s) have "
-                "already been stepped; build a new controller for a new run"
-            )
-        warmup = (
-            self._serial.cluster_config.warmup_epochs
-            if warmup_epochs is None
-            else warmup_epochs
-        )
-        if self._serial.migration is not None:
-            return self._run_lockstep(num_epochs, warmup)
-        results = self._dispatch(_worker_run_blocks, num_epochs, warmup)
-        by_index: Dict[int, ClusterMetrics] = {
-            index: metrics for worker_result in results for index, metrics in worker_result
-        }
-        block_metrics = [by_index[index] for index in range(self.num_blocks)]
-        self._epoch = num_epochs
-        serial = self._serial
-        return ClusterMetrics.merged(
-            block_metrics,
-            metadata={
-                "query": serial.plan.query_name,
-                "num_sources": self.num_sources,
-                "num_blocks": self.num_blocks,
-                "ingress_bandwidth_mbps": serial.blocks[0].link.bandwidth_mbps,
-                "sp_compute_capacity_s": serial.blocks[0].sp_compute_capacity_s,
-                "placement": self.placement_report(),
-                "per_block_summary": [m.summary() for m in block_metrics],
-            },
-        )
-
-    def _run_lockstep(self, num_epochs: int, warmup: int) -> ClusterMetrics:
-        serial = self._serial
-        cluster = ClusterMetrics(
-            epoch_duration_s=serial.cluster_config.config.epoch.duration_s,
-            warmup_epochs=warmup,
-            metadata={
-                "query": serial.plan.query_name,
-                "num_sources": self.num_sources,
-                "num_blocks": self.num_blocks,
-                "ingress_bandwidth_mbps": serial.blocks[0].link.bandwidth_mbps,
-                "sp_compute_capacity_s": serial.blocks[0].sp_compute_capacity_s,
-                "placement": self.placement_report(),
-            },
-        )
-        per_source_runs: Dict[str, RunMetrics] = {}
-        # The main-process blocks are unstepped copies of the same sources,
-        # so their collector construction (pure container creation) yields
-        # the same per-source RunMetrics the serial lockstep path builds.
-        for block in serial.blocks:
-            _, runs = block._prepare_run_collectors(warmup)
-            per_source_runs.update(runs)
-        for _ in range(num_epochs):
-            epoch_metrics = self.run_epoch()
-            for name, em in epoch_metrics.items():
-                per_source_runs[name].record(em)
-            cluster.record_cluster_epoch(self._last_cluster_epoch)
-        for name, run_metrics in per_source_runs.items():
-            cluster.register_source(name, run_metrics)
-        cluster.metadata.update(
-            {
-                "migration_policy": serial.migration.name,
-                "migrations": [event.as_dict() for event in self._migration_events],
-                "placement_epochs": [
-                    dict(snapshot) for snapshot in self._placement_epochs
-                ],
-                "final_assignment": self.assignment(),
-            }
-        )
-        return cluster
+        return super().migrate(source_name, to_block, reason=reason)

@@ -34,7 +34,18 @@ import inspect
 import math
 import statistics
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
+from functools import partial
+from typing import (
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+    Union,
+)
 
 from ..errors import SimulationError
 from ..query.physical_plan import PhysicalPlan
@@ -47,8 +58,15 @@ from .metrics import (
     RunMetrics,
 )
 from .multiquery import CoLocatedBlockExecutor, QuerySpec, shard_query_sources
-from .multisource import MultiSourceConfig, MultiSourceExecutor, SourceSpec
+from .multisource import (
+    MultiSourceConfig,
+    MultiSourceExecutor,
+    SourceMigrationState,
+    SourceSpec,
+)
 from .node import StreamProcessorNode
+
+T = TypeVar("T")
 
 
 def estimated_rate_mbps(spec: SourceSpec, default: float = 1.0) -> float:
@@ -534,6 +552,39 @@ class SaturationMigrationPolicy(MigrationPolicy):
         return None
 
 
+# ---------------------------------------------------------------------------
+# Per-block tasks.  Module-level so a stepping backend whose blocks live in
+# other processes (repro.simulation.parallel) can ship them by reference.
+# ---------------------------------------------------------------------------
+
+
+def _step_block(
+    index: int, block: MultiSourceExecutor
+) -> Tuple[Dict[str, EpochMetrics], ClusterEpochMetrics]:
+    metrics = block.run_epoch()
+    return metrics, block._last_cluster_epoch
+
+
+def _run_block(
+    num_epochs: int, warmup: int, index: int, block: MultiSourceExecutor
+) -> ClusterMetrics:
+    return block.run(num_epochs, warmup_epochs=warmup)
+
+
+def _block_sp_backlog(index: int, block: MultiSourceExecutor) -> int:
+    return block.sp_backlog_records()
+
+
+def _block_conservation(index: int, block: MultiSourceExecutor) -> List[str]:
+    return block.verify_record_conservation()
+
+
+def _block_conservation_report(
+    index: int, block: MultiSourceExecutor
+) -> Dict[str, Dict[str, object]]:
+    return block.record_conservation_report()
+
+
 class ShardedClusterExecutor:
     """Simulates a fleet of sources tiled across K building blocks.
 
@@ -543,6 +594,15 @@ class ShardedClusterExecutor:
     lockstep per epoch.  Blocks never share state: a record drained by a
     source only ever crosses its own block's link and compute, exactly as in
     the paper's tiled deployment (Figure 4b).
+
+    This class owns all fleet bookkeeping — placement, migration validation
+    and events, run assembly, introspection.  Only two private seams touch
+    live block state: :meth:`_map_blocks` (apply a per-block task to every
+    block, in block order) and :meth:`_handoff` (move one source's
+    :class:`~repro.simulation.multisource.SourceMigrationState` between
+    blocks).  Here they are local loops over :attr:`blocks`; the worker pool
+    (:class:`~repro.simulation.parallel.ParallelBlockController`) overrides
+    them to run where its workers keep the blocks.
     """
 
     def __init__(
@@ -642,6 +702,21 @@ class ShardedClusterExecutor:
         self.migration = migration
         self._migration_events: List[MigrationEvent] = []
         self._placement_epochs: List[Dict[str, int]] = []
+        self._last_cluster_epoch: Optional[ClusterEpochMetrics] = None
+
+    # -- stepping seams ------------------------------------------------------------
+
+    def _map_blocks(self, fn: Callable[[int, MultiSourceExecutor], T]) -> List[T]:
+        """``[fn(index, block) for every block]``, in block order."""
+        return [fn(index, block) for index, block in enumerate(self.blocks)]
+
+    def _handoff(
+        self, source_name: str, from_block: int, to_block: int
+    ) -> SourceMigrationState:
+        """Detach a source from one block and attach it to another."""
+        state = self.blocks[from_block].detach_source(source_name)
+        self.blocks[to_block].attach_source(state)
+        return state
 
     # -- introspection -----------------------------------------------------------
 
@@ -651,11 +726,11 @@ class ShardedClusterExecutor:
 
     @property
     def num_sources(self) -> int:
-        return sum(block.num_sources for block in self.blocks)
+        return len(self._assignment)
 
     def source_names(self) -> List[str]:
         """Fleet source names, grouped by block in placement order."""
-        return [name for block in self.blocks for name in block.source_names()]
+        return [spec.name for group in self._groups for spec in group]
 
     def block_of(self, source_name: str) -> int:
         """Block index a source was placed on."""
@@ -669,7 +744,7 @@ class ShardedClusterExecutor:
 
     def sp_backlog_records(self) -> int:
         """Records waiting for compute across every block's stream processor."""
-        return sum(block.sp_backlog_records() for block in self.blocks)
+        return sum(self._map_blocks(_block_sp_backlog))
 
     def placement_report(self) -> Dict[str, object]:
         """Placement-imbalance statistics over estimated per-block rates."""
@@ -694,19 +769,17 @@ class ShardedClusterExecutor:
     def record_conservation_report(self) -> Dict[str, Dict[str, object]]:
         """Per-source record accounting, merged across blocks (names disjoint)."""
         report: Dict[str, Dict[str, object]] = {}
-        for block in self.blocks:
-            report.update(block.record_conservation_report())
+        for block_report in self._map_blocks(_block_conservation_report):
+            report.update(block_report)
         return report
 
     def verify_record_conservation(self) -> List[str]:
         """Conservation violations across every block (empty means none)."""
-        violations: List[str] = []
-        for index, block in enumerate(self.blocks):
-            violations.extend(
-                f"block {index}: {violation}"
-                for violation in block.verify_record_conservation()
-            )
-        return violations
+        return [
+            f"block {index}: {violation}"
+            for index, violations in enumerate(self._map_blocks(_block_conservation))
+            for violation in violations
+        ]
 
     def migration_events(self) -> List[MigrationEvent]:
         """Live migrations executed so far, in execution order."""
@@ -728,24 +801,6 @@ class ShardedClusterExecutor:
         continuous across the move.  Blocks step in lockstep, so the move is
         valid at any epoch boundary (including epoch 0).
         """
-        from_block = self._validate_move(source_name, to_block)
-        handoff = self.blocks[from_block].detach_source(source_name)
-        self.blocks[to_block].attach_source(handoff)
-        self._reassign(source_name, from_block, to_block)
-        event = MigrationEvent(
-            epoch=self._epoch,
-            source=source_name,
-            from_block=from_block,
-            to_block=to_block,
-            moved_bytes=handoff.requeue_bytes,
-            in_flight_records=handoff.in_flight_records,
-            reason=reason,
-        )
-        self._migration_events.append(event)
-        return event
-
-    def _validate_move(self, source_name: str, to_block: int) -> int:
-        """Validate a proposed migration; returns the source's current block."""
         if source_name not in self._assignment:
             raise SimulationError(f"unknown source {source_name!r}")
         if not 0 <= to_block < self.num_blocks:
@@ -758,22 +813,24 @@ class ShardedClusterExecutor:
             raise SimulationError(
                 f"source {source_name!r} is already on block {to_block}"
             )
-        return from_block
-
-    def _reassign(self, source_name: str, from_block: int, to_block: int) -> None:
-        """Update assignment/group bookkeeping after a handoff has executed.
-
-        Split out of :meth:`migrate` because the parallel controller
-        (:mod:`repro.simulation.parallel`) executes the handoff itself in the
-        worker processes that own the two blocks, then reuses this method so
-        the main process's placement bookkeeping stays authoritative.
-        """
+        handoff = self._handoff(source_name, from_block, to_block)
         self._assignment[source_name] = to_block
         spec = next(
             spec for spec in self._groups[from_block] if spec.name == source_name
         )
         self._groups[from_block].remove(spec)
         self._groups[to_block].append(spec)
+        event = MigrationEvent(
+            epoch=self._epoch,
+            source=source_name,
+            from_block=from_block,
+            to_block=to_block,
+            moved_bytes=handoff.requeue_bytes,
+            in_flight_records=handoff.in_flight_records,
+            reason=reason,
+        )
+        self._migration_events.append(event)
+        return event
 
     def run_epoch(self) -> Dict[str, EpochMetrics]:
         """Step every block one epoch in lockstep.
@@ -787,10 +844,9 @@ class ShardedClusterExecutor:
         self._epoch += 1
         metrics: Dict[str, EpochMetrics] = {}
         block_epochs: List[ClusterEpochMetrics] = []
-        for block in self.blocks:
-            metrics.update(block.run_epoch())
-            block_epochs.append(block._last_cluster_epoch)
-        self._last_block_epochs = block_epochs
+        for block_metrics, cluster_epoch in self._map_blocks(_step_block):
+            metrics.update(block_metrics)
+            block_epochs.append(cluster_epoch)
         self._last_cluster_epoch = ClusterEpochMetrics.merge(block_epochs)
         if self.migration is not None:
             decisions = self.migration.decide(
@@ -807,6 +863,18 @@ class ShardedClusterExecutor:
                 )
             self._placement_epochs.append(self.assignment())
         return metrics
+
+    def _run_metadata(self) -> Dict[str, object]:
+        # ``self.blocks`` is only read for static capacities here, which a
+        # backend keeping live block state elsewhere still has locally.
+        return {
+            "query": self.plan.query_name,
+            "num_sources": self.num_sources,
+            "num_blocks": self.num_blocks,
+            "ingress_bandwidth_mbps": self.blocks[0].link.bandwidth_mbps,
+            "sp_compute_capacity_s": self.blocks[0].sp_compute_capacity_s,
+            "placement": self.placement_report(),
+        }
 
     def run(
         self, num_epochs: int, warmup_epochs: Optional[int] = None
@@ -841,20 +909,14 @@ class ShardedClusterExecutor:
         # to completion is numerically identical to lockstep stepping (which
         # run_epoch still offers for per-epoch drivers) and reuses
         # MultiSourceExecutor.run's metric assembly instead of mirroring it.
-        block_metrics = [
-            block.run(num_epochs, warmup_epochs=warmup) for block in self.blocks
-        ]
+        block_metrics = self._map_blocks(partial(_run_block, num_epochs, warmup))
+        self._epoch = num_epochs
         for block_index, metrics in enumerate(block_metrics):
             metrics.metadata["block"] = block_index
         return ClusterMetrics.merged(
             block_metrics,
             metadata={
-                "query": self.plan.query_name,
-                "num_sources": self.num_sources,
-                "num_blocks": self.num_blocks,
-                "ingress_bandwidth_mbps": self.blocks[0].link.bandwidth_mbps,
-                "sp_compute_capacity_s": self.blocks[0].sp_compute_capacity_s,
-                "placement": self.placement_report(),
+                **self._run_metadata(),
                 "per_block_summary": [m.summary() for m in block_metrics],
             },
         )
@@ -873,16 +935,11 @@ class ShardedClusterExecutor:
         cluster = ClusterMetrics(
             epoch_duration_s=self.cluster_config.config.epoch.duration_s,
             warmup_epochs=warmup,
-            metadata={
-                "query": self.plan.query_name,
-                "num_sources": self.num_sources,
-                "num_blocks": self.num_blocks,
-                "ingress_bandwidth_mbps": self.blocks[0].link.bandwidth_mbps,
-                "sp_compute_capacity_s": self.blocks[0].sp_compute_capacity_s,
-                "placement": self.placement_report(),
-            },
+            metadata=self._run_metadata(),
         )
         per_source_runs: Dict[str, RunMetrics] = {}
+        # Collector construction is pure container creation, so it reads the
+        # local block objects even when a backend steps its blocks elsewhere.
         for block in self.blocks:
             _, runs = block._prepare_run_collectors(warmup)
             per_source_runs.update(runs)

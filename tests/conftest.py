@@ -6,6 +6,7 @@ suite stays fast; the benchmarks exercise the full-size configurations.
 
 from __future__ import annotations
 
+import glob
 import os
 import sys
 
@@ -28,6 +29,22 @@ from repro.workloads.pingmesh import PingmeshConfig, PingmeshWorkload, s2s_cost_
 
 
 SMALL_RECORDS_PER_EPOCH = 200
+
+
+@pytest.fixture(scope="session", autouse=True)
+def shm_leak_tripwire():
+    """Fail the session if a worker-pool shm segment outlives it.
+
+    ``ParallelBlockController`` names its arena segments
+    ``repro_par_<creating pid>_<n>`` and must unlink every one on close,
+    error paths included; a survivor under ``/dev/shm`` is a leak.
+    """
+    yield
+    if not os.path.isdir("/dev/shm"):
+        return
+    leaked = sorted(glob.glob(f"/dev/shm/repro_par_{os.getpid()}_*"))
+    if leaked:
+        pytest.fail(f"shared-memory segments leaked by the test session: {leaked}")
 
 
 @pytest.fixture(scope="session")

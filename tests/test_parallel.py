@@ -1,11 +1,11 @@
 """Tests for process-parallel fleet execution (``simulation/parallel.py``).
 
-The contract under test: a :class:`ParallelBlockController` is a drop-in
-execution substrate for :class:`ShardedClusterExecutor` — bit-identical
-metrics per epoch per source in all three record modes, including under
-migration schedules — plus the OS-resource half of the story: shared-memory
-arenas in the workers, and pool/segment teardown on every path out,
-error paths included.
+The contract under test: a :class:`ParallelBlockController` is a stepping
+backend of :class:`ShardedClusterExecutor` — bit-identical metrics per epoch
+per source in all three record modes, including under migration schedules,
+and the same fleet surface — plus the OS-resource half of the story:
+shared-memory arenas in the workers, and pool/segment teardown on every path
+out, error paths included.
 """
 
 from __future__ import annotations
@@ -252,6 +252,22 @@ class TestBitIdentityRun:
             )
 
 
+class TestSharedBookkeeping:
+    @pytest.mark.parametrize("backend", ["serial", "pool"])
+    def test_migrate_after_run_stamps_run_length(self, setup, backend):
+        """Regression: a no-migration run() advances the epoch counter, so a
+        later migrate() is stamped with the epochs already run."""
+        executor = (build_serial if backend == "serial" else build_parallel)(setup)
+        try:
+            executor.run(4, warmup_epochs=1)
+            event = executor.migrate("source-0", 1)
+            assert event.epoch == 4
+            assert executor.migration_events() == [event]
+        finally:
+            if backend == "pool":
+                executor.close()
+
+
 class TestMigrationScheduleIdentityProperty:
     @settings(max_examples=5, deadline=None)
     @given(
@@ -299,6 +315,12 @@ class TestMigrationScheduleIdentityProperty:
                 serial.record_conservation_report()
                 == controller.record_conservation_report()
             )
+            # Serial and pool expose the same fleet surface, event epochs
+            # included.
+            assert serial.source_names() == controller.source_names()
+            assert serial.assignment() == controller.assignment()
+            assert serial.migration_events() == controller.migration_events()
+            assert serial.placement_report() == controller.placement_report()
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +563,30 @@ class TestTeardown:
                 shared_memory.SharedMemory(name=name)
         with pytest.raises(SimulationError, match="closed"):
             controller.run_epoch()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda c: c.run(3),
+            lambda c: c.run_epoch(),
+            lambda c: c.migrate("source-0", 1),
+            lambda c: c.map_blocks(_probe_num_sources),
+            lambda c: c.verify_record_conservation(),
+        ],
+        ids=["run", "run_epoch", "migrate", "map_blocks",
+             "verify_record_conservation"],
+    )
+    def test_closed_controller_refuses_work(self, setup, call):
+        """Every path that reaches the workers checks the pool is open,
+        inherited paths included, and a refused call changes no state."""
+        controller = build_parallel(setup)
+        assignment = controller.assignment()
+        controller.close()
+        with pytest.raises(SimulationError, match="closed"):
+            call(controller)
+        assert controller._epoch == 0
+        assert controller.assignment() == assignment
+        assert controller.migration_events() == []
 
     def test_close_is_idempotent_and_unlinks(self, setup):
         controller = build_parallel(setup, record_mode="arena")
