@@ -9,11 +9,13 @@ The module also hosts :func:`require_finite`, the shared finiteness guard for
 float-valued configuration parameters (simlint rule SL008): a NaN or infinite
 rate admitted at construction time silently corrupts placement and accounting
 decisions much later, so every public float knob funnels through this check.
+:func:`require_count` is its twin for integer counts.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Optional, Type
 
 
@@ -84,3 +86,24 @@ def require_finite(
     if non_negative and value < 0:
         raise error(f"{name} must be non-negative, got {value!r}")
     return value
+
+
+def require_count(
+    name: str,
+    value: object,
+    *,
+    error: Type[JarvisError] = ConfigurationError,
+) -> int:
+    """Validate a positive integer count and return it as a plain ``int``.
+
+    Accepts ``int`` and numpy integers; rejects ``bool`` (``True`` is not a
+    count) and every non-integral type, including integral floats such as
+    ``2.0``, so a bad count fails at construction instead of deep inside a
+    generator.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    count = int(value)
+    if count <= 0:
+        raise error(f"{name} must be positive, got {value!r}")
+    return count

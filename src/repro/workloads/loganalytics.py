@@ -10,8 +10,12 @@ the query:
   statistics (job running time, CPU utilisation, memory utilisation);
 * most lines match the query's search patterns (the paper notes the
   filter-out rate is low, which is why Filter-Src stays network-bound);
-* parsing reduces a ~120-byte text line to a ~40-byte structured record, so
-  the Map(parse) stage is where most data reduction happens;
+* parsing reduces a text line to a ~40-byte structured record, so the
+  Map(parse) stage is where most data reduction happens.  Generated lines
+  average ~77 bytes (76.7 B over 20,000 lines at the default config, seed
+  1), while :attr:`LogAnalyticsWorkload.input_rate_mbps` sizes the nominal
+  rate at ~120 bytes per line, the figure the scenarios were calibrated
+  with;
 * the per-window group cardinality is ``tenants x statistics x buckets``.
 """
 
@@ -23,7 +27,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..errors import WorkloadError, require_finite
+from ..errors import WorkloadError, require_count, require_finite
 from ..query.builder import Query, log_analytics_query
 from ..query.records import LogRecord, RecordBatch, half_up
 from ..simulation.cost_model import CostModel, calibrate_cost_model
@@ -76,12 +80,11 @@ class LogAnalyticsConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.lines_per_epoch <= 0:
-            raise WorkloadError(
-                f"lines_per_epoch must be positive, got {self.lines_per_epoch!r}"
-            )
-        if self.tenants <= 0:
-            raise WorkloadError(f"tenants must be positive, got {self.tenants!r}")
+        # Counts are stored as plain ints: numpy integers are accepted, and
+        # the generator relies on ``int.bit_length``.
+        for name in ("lines_per_epoch", "tenants"):
+            count = require_count(name, getattr(self, name), error=WorkloadError)
+            object.__setattr__(self, name, count)
         require_finite(
             "noise_fraction", self.noise_fraction, error=WorkloadError
         )
@@ -112,7 +115,19 @@ class LogAnalyticsConfig:
 
 
 class LogAnalyticsWorkload:
-    """Generates the unstructured log stream observed by one data source."""
+    """Generates the unstructured log stream observed by one data source.
+
+    Stream contract: the lines are exactly those of the straightforward
+    stdlib generator that draws, per line, ``random() < noise_fraction``;
+    for a noise line ``randint(0, 999)`` and ``randint(0, 64)``; otherwise
+    ``randint(0, tenants - 1)``, ``choice`` of the three statistics,
+    ``uniform(0.0, 100.0)`` (printed as ``round(value, 2)``),
+    ``random() < malformed_fraction`` and, for a well-formed line,
+    ``randint(0, 99999)``.  :meth:`batch_for_epoch` makes those draws in
+    that order on the same ``random.Random`` through its cheaper primitives,
+    so any rewrite must keep the same draws in the same order; the pin test
+    in ``tests/test_workloads.py`` holds it to that stdlib generator.
+    """
 
     def __init__(self, config: Optional[LogAnalyticsConfig] = None) -> None:
         self.config = config or LogAnalyticsConfig()
@@ -120,26 +135,13 @@ class LogAnalyticsWorkload:
 
     @property
     def input_rate_mbps(self) -> float:
-        """Approximate nominal input rate in Mbps (average line ~120 bytes)."""
-        return self.config.lines_per_epoch * 120 * 8.0 / 1e6
+        """Nominal input rate in Mbps, sized at 120 bytes per line.
 
-    def _log_line(self) -> str:
-        cfg = self.config
-        if self._rng.random() < cfg.noise_fraction:
-            return (
-                f"INFO scheduler heartbeat node={self._rng.randint(0, 999):03d} "
-                f"queue_depth={self._rng.randint(0, 64)} status=ok padding=xxxxxxxxxx"
-            )
-        tenant = f"tenant_{self._rng.randint(0, cfg.tenants - 1):03d}"
-        stat_name = self._rng.choice(_STAT_NAMES)
-        value = round(self._rng.uniform(0.0, 100.0), 2)
-        if self._rng.random() < cfg.malformed_fraction:
-            # Missing the value field: the parse Map drops these lines.
-            return f"Tenant Name={tenant}; {stat_name}"
-        return (
-            f"Tenant Name={tenant}; job_id=j{self._rng.randint(0, 99999):05d}; "
-            f"cluster=cosmos-east; {stat_name}={value}"
-        )
+        Generated lines average ~77 bytes (76.7 B over 20,000 lines at the
+        default config, seed 1); the 120-byte sizing is kept because the
+        ingress capacity of existing scenarios is derived from it.
+        """
+        return self.config.lines_per_epoch * 120 * 8.0 / 1e6
 
     def records_for_epoch(self, epoch: int) -> List[LogRecord]:
         """Log records arriving during ``epoch`` (epoch duration = 1 s)."""
@@ -152,15 +154,68 @@ class LogAnalyticsWorkload:
         are drawn one after another from the seeded generator, so the
         stream is deterministic per seed in every record mode.
         """
-        count = self.config.lines_per_epoch
-        lines = [self._log_line() for _ in range(count)]
+        cfg = self.config
+        count = cfg.lines_per_epoch
+        noise_fraction = cfg.noise_fraction
+        malformed_fraction = cfg.malformed_fraction
+        tenants = cfg.tenants
+        tenant_bits = tenants.bit_length()
+        random = self._rng.random
+        getrandbits = self._rng.getrandbits
+        noise = (
+            "INFO scheduler heartbeat node=%03d queue_depth=%d "
+            "status=ok padding=xxxxxxxxxx"
+        )
+        # One template per statistic, indexed by the drawn statistic.
+        malformed = ["Tenant Name=tenant_%03d; " + name for name in _STAT_NAMES]
+        parsed = [
+            "Tenant Name=tenant_%03d; job_id=j%05d; cluster=cosmos-east; "
+            + name + "=%.2f"
+            for name in _STAT_NAMES
+        ]
+        lines: List[str] = []
+        append = lines.append
+        # Each ``r = getrandbits(k)`` / ``while r >= n`` pair is the stdlib's
+        # randint(0, n - 1) (and, for n = 3, choice): randrange's rejection
+        # loop with k = n.bit_length().  ``100.0 * random()`` is
+        # uniform(0.0, 100.0).
+        for _ in range(count):
+            if random() < noise_fraction:
+                node = getrandbits(10)
+                while node >= 1000:
+                    node = getrandbits(10)
+                depth = getrandbits(7)
+                while depth >= 65:
+                    depth = getrandbits(7)
+                append(noise % (node, depth))
+                continue
+            tenant = getrandbits(tenant_bits)
+            while tenant >= tenants:
+                tenant = getrandbits(tenant_bits)
+            stat = getrandbits(2)
+            while stat >= 3:
+                stat = getrandbits(2)
+            value = 100.0 * random()
+            if random() < malformed_fraction:
+                # Missing the value field: the parse Map drops these lines.
+                append(malformed[stat] % tenant)
+                continue
+            job = getrandbits(17)
+            while job >= 100000:
+                job = getrandbits(17)
+            # The value ends the line.  "%.2f" and round(value, 2) both round
+            # the exact binary value half-even to two decimals; repr() of
+            # the rounded float then differs only by dropping a trailing
+            # zero ("5.50" -> "5.5", "5.00" -> "5.0").
+            line = parsed[stat] % (tenant, job, value)
+            append(line[:-1] if line[-1] == "0" else line)
         return RecordBatch(
             LogRecord,
             {
-                "event_time": float(epoch) + np.arange(count) / max(1, count),
+                "event_time": float(epoch) + np.arange(count) / count,
                 "line": lines,
             },
-            sizes=[max(1, len(line)) for line in lines],
+            sizes=[len(line) for line in lines],
         )
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..errors import WorkloadError, require_finite
+from ..errors import WorkloadError, require_count, require_finite
 from ..query.builder import Query, s2s_probe_query, t2t_probe_query
 from ..query.records import (
     PINGMESH_RECORD_BYTES,
@@ -101,12 +101,9 @@ class PingmeshConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.records_per_epoch <= 0:
-            raise WorkloadError(
-                f"records_per_epoch must be positive, got {self.records_per_epoch!r}"
-            )
-        if self.peers <= 0:
-            raise WorkloadError(f"peers must be positive, got {self.peers!r}")
+        for name in ("records_per_epoch", "peers"):
+            count = require_count(name, getattr(self, name), error=WorkloadError)
+            object.__setattr__(self, name, count)
         require_finite("error_rate", self.error_rate, error=WorkloadError)
         require_finite(
             "base_rtt_ms", self.base_rtt_ms, non_negative=True, error=WorkloadError

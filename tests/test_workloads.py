@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+import math
+import random
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
 from repro.query.records import LogRecord, PingmeshRecord
@@ -29,6 +36,19 @@ class TestPingmeshConfig:
             PingmeshConfig(error_rate=1.5)
         with pytest.raises(WorkloadError):
             PingmeshConfig(anomaly_peer_fraction=-0.1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("records_per_epoch", 2.5), ("records_per_epoch", True), ("peers", True)],
+    )
+    def test_non_integer_counts_rejected(self, field, value):
+        with pytest.raises(WorkloadError, match=field):
+            PingmeshConfig(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = PingmeshConfig(records_per_epoch=np.int64(40), peers=np.int32(30))
+        assert type(cfg.records_per_epoch) is int and type(cfg.peers) is int
+        assert len(PingmeshWorkload(cfg).batch_for_epoch(0)) == 40
 
     def test_scaled_config(self):
         cfg = PingmeshConfig(records_per_epoch=1000, peers=5000)
@@ -117,6 +137,19 @@ class TestLogAnalyticsWorkload:
         with pytest.raises(WorkloadError):
             LogAnalyticsConfig(noise_fraction=2.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("lines_per_epoch", 2.5), ("tenants", 2.5), ("tenants", True)],
+    )
+    def test_non_integer_counts_rejected(self, field, value):
+        with pytest.raises(WorkloadError, match=field):
+            LogAnalyticsConfig(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = LogAnalyticsConfig(lines_per_epoch=np.int64(40), tenants=np.int16(7))
+        assert type(cfg.lines_per_epoch) is int and type(cfg.tenants) is int
+        assert len(LogAnalyticsWorkload(cfg).batch_for_epoch(0)) == 40
+
     def test_record_count_and_type(self):
         records = self.make().records_for_epoch(0)
         assert len(records) == 500
@@ -142,6 +175,135 @@ class TestLogAnalyticsWorkload:
     def test_scaled_config(self):
         cfg = LogAnalyticsConfig(lines_per_epoch=1000)
         assert cfg.scaled(0.1).lines_per_epoch == 100
+
+
+_STAT_NAMES = ("job running time", "cpu util", "memory util")
+
+
+class _StdlibLogLines:
+    """Reference log-line generator written with the stdlib's public draws.
+
+    ``line`` uses ``randint``/``choice``/``uniform``/``round`` and f-strings
+    exactly as the stream contract in ``LogAnalyticsWorkload`` states; the
+    workload must reproduce its lines and its generator state exactly.
+    """
+
+    def __init__(self, config):
+        self.config = config
+        self._rng = random.Random(config.seed)
+
+    def line(self) -> str:
+        cfg = self.config
+        if self._rng.random() < cfg.noise_fraction:
+            return (
+                f"INFO scheduler heartbeat node={self._rng.randint(0, 999):03d} "
+                f"queue_depth={self._rng.randint(0, 64)} status=ok padding=xxxxxxxxxx"
+            )
+        tenant = f"tenant_{self._rng.randint(0, cfg.tenants - 1):03d}"
+        stat_name = self._rng.choice(_STAT_NAMES)
+        value = round(self._rng.uniform(0.0, 100.0), 2)
+        if self._rng.random() < cfg.malformed_fraction:
+            # Missing the value field: the parse Map drops these lines.
+            return f"Tenant Name={tenant}; {stat_name}"
+        return (
+            f"Tenant Name={tenant}; job_id=j{self._rng.randint(0, 99999):05d}; "
+            f"cluster=cosmos-east; {stat_name}={value}"
+        )
+
+
+class _ScriptedRandom(random.Random):
+    """A seeded generator whose ``random()`` replays a script of floats."""
+
+    # Defining getrandbits here keeps the stdlib's randrange on
+    # getrandbits; a subclass defining only random() would switch it to
+    # random() draws.
+    getrandbits = random.Random.getrandbits
+
+    def __init__(self, script):
+        super().__init__(0)
+        self._script = iter(script)
+
+    def random(self):
+        return next(self._script)
+
+
+_fractions = st.one_of(
+    st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)
+)
+
+
+class TestLogLineStream:
+    """The generated log stream is pinned draw for draw to the stdlib one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        tenants=st.one_of(
+            st.sampled_from([1, 2, 63, 64, 65, 1000, 1024]),
+            st.integers(min_value=1, max_value=1500),
+        ),
+        noise_fraction=_fractions,
+        malformed_fraction=_fractions,
+        lines_per_epoch=st.integers(min_value=1, max_value=300),
+    )
+    def test_matches_stdlib_generator(
+        self, seed, tenants, noise_fraction, malformed_fraction, lines_per_epoch
+    ):
+        cfg = LogAnalyticsConfig(
+            lines_per_epoch=lines_per_epoch,
+            tenants=tenants,
+            noise_fraction=noise_fraction,
+            malformed_fraction=malformed_fraction,
+            seed=seed,
+        )
+        workload = LogAnalyticsWorkload(cfg)
+        oracle = _StdlibLogLines(cfg)
+        for epoch in range(3):
+            batch = workload.batch_for_epoch(epoch)
+            expected = [oracle.line() for _ in range(lines_per_epoch)]
+            assert list(batch.columns["line"]) == expected
+            assert list(batch.sizes) == [max(1, len(line)) for line in expected]
+            assert np.array_equal(
+                batch.columns["event_time"],
+                float(epoch) + np.arange(lines_per_epoch) / lines_per_epoch,
+            )
+            assert workload._rng.getstate() == oracle._rng.getstate()
+
+    def test_fixed_digest(self):
+        workload = LogAnalyticsWorkload(LogAnalyticsConfig(lines_per_epoch=1250, seed=1))
+        digest = hashlib.sha256()
+        for epoch in range(3):
+            for line in workload.batch_for_epoch(epoch).columns["line"]:
+                digest.update((line + "\n").encode())
+        assert digest.hexdigest() == (
+            "d004413254b1f34e08644f37e357bcb6f98a6c592c04138fc3c5691bfcc2bd74"
+        )
+
+    def test_value_formatting_at_rounding_ties(self):
+        # Every two-decimal tie k/200, one ulp either side, 0.0 and 100.0.
+        targets = [0.0, 100.0]
+        for k in range(20001):
+            tie = k / 200
+            targets += [math.nextafter(tie, -1.0), tie, math.nextafter(tie, 200.0)]
+        # The value is 100.0 * random(); feed random() the draws nearest to
+        # each target.  A line's random() calls are: noise, value, malformed.
+        draws = []
+        for target in targets:
+            u = target / 100.0
+            draws += [math.nextafter(u, -1.0), u, math.nextafter(u, 2.0)]
+        # random() never returns -0.0; 1.0 stands in for the top of its range.
+        draws = [0.0] + [u for u in draws if 0.0 < u <= 1.0]
+        cfg = LogAnalyticsConfig(
+            lines_per_epoch=len(draws), noise_fraction=0.0, malformed_fraction=0.0
+        )
+        workload = LogAnalyticsWorkload(cfg)
+        workload._rng = _ScriptedRandom(x for u in draws for x in (0.5, u, 0.5))
+        lines = workload.batch_for_epoch(0).columns["line"]
+        values = [100.0 * u for u in draws]
+        assert {0.0, 100.0, 0.125, 50.005} <= set(values)
+        assert [line.rsplit("=", 1)[1] for line in lines] == [
+            repr(round(value, 2)) for value in values
+        ]
 
 
 class TestWorkloadBurst:
