@@ -15,10 +15,10 @@ from __future__ import annotations
 from repro.analysis.experiments import (
     adaptation_overhead,
     convergence_run,
-    make_setup,
     operator_count_convergence,
 )
 from repro.analysis.reporting import format_table
+from repro.scenarios.setups import make_setup
 from repro.simulation.node import BudgetSchedule
 
 from .conftest import write_result

@@ -3,10 +3,10 @@
 Every benchmark here is a thin assertion shim over a scenario config under
 ``configs/`` — the parameters live in TOML, the execution in
 :class:`repro.scenarios.runner.ScenarioRunner`, and this file keeps only the
-paper's acceptance assertions.  Tune a run with ``--set``-style overrides on
-the CLI (``python -m repro.scenarios configs/fig10_sim_vs_analytic.toml
---set sweep.sources=1,8,16``); the historical ``FIG10_*`` environment knobs
-still work as deprecated aliases (:mod:`repro.scenarios.knobs`).
+paper's acceptance assertions.  Tune a run with ``--set`` overrides, on the
+scenario CLI (``python -m repro.scenarios configs/fig10_sim_vs_analytic.toml
+--set sweep.sources=1,8,16``) or on pytest (``pytest
+benchmarks/bench_fig10_scaling.py --set sweep.sources=1,8,16``).
 
 Paper shape:
 
@@ -26,29 +26,18 @@ from __future__ import annotations
 import pytest
 
 from repro.scenarios import ScenarioRunner, load_scenario
-from repro.scenarios.knobs import (
-    FIG10_MIGRATION_ALIASES,
-    FIG10_SCALING_ALIASES,
-    FIG10_SHARDED_ALIASES,
-    deprecated_env_overrides,
-)
 
 from .conftest import CONFIG_DIR, write_result
 
 #: The analytic Fig. 10 settings, one scenario config per subfigure.
 ANALYTIC_CONFIGS = ("fig10a_10x", "fig10b_5x", "fig10c_1x")
 
-#: Loaded at import so the skip condition sees FIG10_MIGRATION=0 (legacy
-#: alias for --set scenario.enabled=false) the way the old knob did.
-MIGRATION_SPEC = load_scenario(
-    CONFIG_DIR / "fig10_dynamic_replacement.toml",
-    overrides=deprecated_env_overrides(FIG10_MIGRATION_ALIASES),
-)
-
 
 @pytest.mark.parametrize("name", ANALYTIC_CONFIGS)
-def test_fig10_scaling(benchmark, name):
-    spec = load_scenario(CONFIG_DIR / f"{name}.toml")
+def test_fig10_scaling(benchmark, scenario_overrides, name):
+    spec = load_scenario(
+        CONFIG_DIR / f"{name}.toml", overrides=scenario_overrides
+    )
     result = benchmark.pedantic(
         ScenarioRunner().run, args=(spec,), rounds=1, iterations=1
     )
@@ -63,11 +52,10 @@ def test_fig10_scaling(benchmark, name):
     assert last_best.max_latency_s >= last_jarvis.max_latency_s
 
 
-def test_fig10_sim_vs_analytic(benchmark):
+def test_fig10_sim_vs_analytic(benchmark, scenario_overrides):
     """True multi-source executor vs the closed-form cross-check."""
     spec = load_scenario(
-        CONFIG_DIR / "fig10_sim_vs_analytic.toml",
-        overrides=deprecated_env_overrides(FIG10_SCALING_ALIASES),
+        CONFIG_DIR / "fig10_sim_vs_analytic.toml", overrides=scenario_overrides
     )
     result = benchmark.pedantic(
         ScenarioRunner().run, args=(spec,), rounds=1, iterations=1
@@ -82,7 +70,7 @@ def test_fig10_sim_vs_analytic(benchmark):
                 assert 0.9 <= entry["ratio"] <= 1.1, (strategy, entry)
 
 
-def test_fig10_sharded_scaling(benchmark):
+def test_fig10_sharded_scaling(benchmark, scenario_overrides):
     """Figure 4b tiling: the Fig. 10 sweep continued past one block's knee.
 
     A fixed fleet is partitioned across K stream-processor building blocks
@@ -91,8 +79,7 @@ def test_fig10_sharded_scaling(benchmark):
     with K — the scale-out behaviour one ``MultiSourceExecutor`` cannot show.
     """
     spec = load_scenario(
-        CONFIG_DIR / "fig10_sharded_scaling.toml",
-        overrides=deprecated_env_overrides(FIG10_SHARDED_ALIASES),
+        CONFIG_DIR / "fig10_sharded_scaling.toml", overrides=scenario_overrides
     )
     result = benchmark.pedantic(
         ScenarioRunner().run, args=(spec,), rounds=1, iterations=1
@@ -110,10 +97,7 @@ def test_fig10_sharded_scaling(benchmark):
             assert throughputs[-1] > 1.1 * throughputs[0], (strategy, throughputs)
 
 
-@pytest.mark.skipif(
-    not MIGRATION_SPEC.enabled, reason="scenario.enabled=false (FIG10_MIGRATION=0)"
-)
-def test_fig10_dynamic_replacement(benchmark):
+def test_fig10_dynamic_replacement(benchmark, scenario_overrides):
     """Dynamic re-placement on a mid-run hotspot: static vs dynamic vs oracle.
 
     One block's fleet doubles its record rate at the shift epoch; the static
@@ -122,8 +106,13 @@ def test_fig10_dynamic_replacement(benchmark):
     hot block and recover at least half of the goodput gap to an oracle
     placement built with perfect post-shift knowledge.
     """
+    spec = load_scenario(
+        CONFIG_DIR / "fig10_dynamic_replacement.toml", overrides=scenario_overrides
+    )
+    if not spec.enabled:
+        pytest.skip("scenario.enabled=false")
     result = benchmark.pedantic(
-        ScenarioRunner().run, args=(MIGRATION_SPEC,), rounds=1, iterations=1
+        ScenarioRunner().run, args=(spec,), rounds=1, iterations=1
     )
     write_result(
         "fig10_dynamic_replacement", result.table, data=result.bench_payload()

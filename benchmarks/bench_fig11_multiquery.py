@@ -2,8 +2,7 @@
 
 Every benchmark here is a thin assertion shim over a scenario config under
 ``configs/`` (see ``benchmarks/bench_fig10_scaling.py`` for the pattern);
-the historical ``FIG11_*`` environment knobs still work as deprecated
-aliases (:mod:`repro.scenarios.knobs`).
+tune a run with pytest ``--set SECTION.KEY=VALUE`` overrides.
 
 Paper shape: co-located S2SProbe instances (fixed load factors sized for the
 per-query CPU demand of 55%/30%/5% at 10x/5x/1x input scaling) do not
@@ -25,7 +24,6 @@ import pytest
 
 from repro.analysis.reporting import format_table
 from repro.scenarios import ScenarioRunner, load_scenario
-from repro.scenarios.knobs import FIG11_COLOCATED_ALIASES, deprecated_env_overrides
 
 from .conftest import CONFIG_DIR, write_result
 
@@ -34,19 +32,23 @@ from .conftest import CONFIG_DIR, write_result
 ANALYTIC_CONFIGS = ("fig11a_10x", "fig11b_5x", "fig11c_1x")
 
 
-def run_setting(name):
+def run_setting(name, overrides=()):
     results = {}
     for cores in (1, 2):
+        # The core count is this figure's own axis, so it is applied last.
         spec = load_scenario(
-            CONFIG_DIR / f"{name}.toml", overrides=[f"fleet.cores={cores}"]
+            CONFIG_DIR / f"{name}.toml",
+            overrides=[*overrides, f"fleet.cores={cores}"],
         )
         results[cores] = ScenarioRunner().run(spec).raw
     return results
 
 
 @pytest.mark.parametrize("name", ANALYTIC_CONFIGS)
-def test_fig11_multi_query(benchmark, name):
-    results = benchmark.pedantic(run_setting, args=(name,), rounds=1, iterations=1)
+def test_fig11_multi_query(benchmark, scenario_overrides, name):
+    results = benchmark.pedantic(
+        run_setting, args=(name, scenario_overrides), rounds=1, iterations=1
+    )
 
     query_counts = [int(row["queries"]) for row in results[1]]
     rows = []
@@ -83,11 +85,10 @@ def test_fig11_multi_query(benchmark, name):
         assert last_gain <= first_gain + 1e-6
 
 
-def test_fig11_colocated(benchmark):
+def test_fig11_colocated(benchmark, scenario_overrides):
     """True co-located multi-query executor vs the closed-form cross-check."""
     spec = load_scenario(
-        CONFIG_DIR / "fig11_colocated.toml",
-        overrides=deprecated_env_overrides(FIG11_COLOCATED_ALIASES),
+        CONFIG_DIR / "fig11_colocated.toml", overrides=scenario_overrides
     )
     result = benchmark.pedantic(
         ScenarioRunner().run, args=(spec,), rounds=1, iterations=1

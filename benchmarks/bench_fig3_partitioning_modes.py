@@ -8,7 +8,8 @@ while using only the filter's 13% of CPU; data-level partitioning drains
 
 from __future__ import annotations
 
-from repro.analysis.experiments import make_setup, partitioning_mode_comparison
+from repro.analysis.experiments import partitioning_mode_comparison
+from repro.scenarios.setups import make_setup
 from repro.analysis.reporting import format_table
 
 from .conftest import write_result

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.experiments import make_setup, throughput_sweep
+from repro.analysis.experiments import throughput_sweep
+from repro.scenarios.setups import make_setup
 from repro.analysis.reporting import series_table, summarize_sweep
 
 from .conftest import write_result

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from repro.analysis.experiments import (
     convergence_run,
-    make_setup,
     reset_jarvis_plan,
     swap_join_table,
 )
 from repro.analysis.reporting import format_table
 from repro.query.records import IpToTorTable
+from repro.scenarios.setups import make_setup
 from repro.simulation.node import BudgetSchedule
 
 from .conftest import write_result

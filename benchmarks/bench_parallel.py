@@ -28,8 +28,10 @@ from repro.scenarios import ScenarioRunner, load_scenario
 from .conftest import CONFIG_DIR, write_result
 
 
-def test_parallel_gate_speedup_and_identity(benchmark):
-    spec = load_scenario(CONFIG_DIR / "parallel_gate.toml")
+def test_parallel_gate_speedup_and_identity(benchmark, scenario_overrides):
+    spec = load_scenario(
+        CONFIG_DIR / "parallel_gate.toml", overrides=scenario_overrides
+    )
     result = benchmark.pedantic(
         ScenarioRunner().run, args=(spec,), rounds=1, iterations=1
     )

@@ -2,9 +2,8 @@
 
 A thin assertion shim over ``configs/record_modes.toml`` and
 ``configs/record_modes_arena_gate.toml`` (see
-``benchmarks/bench_fig10_scaling.py`` for the pattern); the historical
-``RECMODE_*`` environment knobs still work as deprecated aliases
-(:mod:`repro.scenarios.knobs`).
+``benchmarks/bench_fig10_scaling.py`` for the pattern); tune a run with
+pytest ``--set SECTION.KEY=VALUE`` overrides.
 
 The record-mode fast paths exist so the Fig. 10 simulated sweep can reach
 hundreds of sources in CI time; these benchmarks pin down both halves of
@@ -22,21 +21,20 @@ budget, both of the figure's strategies):
   batched mode no source-side loop to lose, so it rides along only in the
   identity assertions.
 
-Set the corresponding ``min_speedup`` knob to 0 to skip a wall-clock
-assertion on noisy machines.
+Set the corresponding floor to 0 to skip a wall-clock assertion on noisy
+machines (``--set run.min_speedup=0`` / ``--set run.arena_min_speedup=0``).
 """
 
 from __future__ import annotations
 
 from repro.scenarios import ScenarioRunner, load_scenario
-from repro.scenarios.knobs import RECMODE_ALIASES, deprecated_env_overrides
 
 from .conftest import CONFIG_DIR, write_result
 
 
 def _assert_identical_metrics(result) -> None:
     """Every timed mode reports the same goodput/latency/offered numbers."""
-    modes = result.spec.record_modes or ("object", "batched")
+    modes = result.spec.resolved_record_modes()
     reference = modes[0]
     for strategy, entry in result.raw.items():
         for mode in modes[1:]:
@@ -57,10 +55,9 @@ def _assert_identical_metrics(result) -> None:
             )
 
 
-def test_record_mode_speedup_and_equivalence(benchmark):
+def test_record_mode_speedup_and_equivalence(benchmark, scenario_overrides):
     spec = load_scenario(
-        CONFIG_DIR / "record_modes.toml",
-        overrides=deprecated_env_overrides(RECMODE_ALIASES),
+        CONFIG_DIR / "record_modes.toml", overrides=scenario_overrides
     )
     result = benchmark.pedantic(
         ScenarioRunner().run, args=(spec,), rounds=1, iterations=1
@@ -78,8 +75,10 @@ def test_record_mode_speedup_and_equivalence(benchmark):
             assert entry["speedup"] >= spec.min_speedup, (strategy, entry)
 
 
-def test_arena_gate_speedup_and_equivalence(benchmark):
-    spec = load_scenario(CONFIG_DIR / "record_modes_arena_gate.toml")
+def test_arena_gate_speedup_and_equivalence(benchmark, scenario_overrides):
+    spec = load_scenario(
+        CONFIG_DIR / "record_modes_arena_gate.toml", overrides=scenario_overrides
+    )
     result = benchmark.pedantic(
         ScenarioRunner().run, args=(spec,), rounds=1, iterations=1
     )

@@ -4,6 +4,12 @@ Each benchmark regenerates one of the paper's figures (or an inline claim)
 and writes the resulting rows/series both to stdout and to a text file under
 ``benchmarks/output/`` so ``EXPERIMENTS.md`` can be refreshed from a single
 ``pytest benchmarks/ --benchmark-only`` run.
+
+Every shim that loads a scenario config applies the repeatable
+``--set SECTION.KEY=VALUE`` option (the grammar of ``python -m
+repro.scenarios``), e.g. ``pytest benchmarks/bench_fig10_scaling.py --set
+sweep.sources=1,2 --set run.epochs=10``.  An override applies to every shim
+the invocation runs.
 """
 
 from __future__ import annotations
@@ -13,6 +19,9 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import List
+
+import pytest
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 if _SRC not in sys.path:
@@ -22,6 +31,24 @@ OUTPUT_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "output")
 
 #: Scenario configs the benchmark shims execute (one TOML per figure).
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def pytest_addoption(parser) -> None:
+    parser.addoption(
+        "--set",
+        dest="scenario_overrides",
+        action="append",
+        default=[],
+        metavar="SECTION.KEY=VALUE",
+        help="override a scenario config value (repeatable), e.g. "
+        "--set run.epochs=8; parsed by repro.scenarios.load_scenario",
+    )
+
+
+@pytest.fixture
+def scenario_overrides(request) -> List[str]:
+    """The ``--set`` overrides given on the command line, in order."""
+    return list(request.config.getoption("scenario_overrides"))
 
 
 def write_result(name: str, content: str, data: dict | None = None) -> None:

@@ -17,10 +17,10 @@ Run with::
 
 from __future__ import annotations
 
-from repro.analysis.experiments import make_setup, make_strategy, run_single_source
 from repro.analysis.reporting import format_table
 from repro.query.builder import log_analytics_query
 from repro.query.records import LogRecord
+from repro.scenarios.setups import make_setup, make_strategy, run_single_source
 from repro.simulation.executor import BuildingBlockExecutor, ExecutorConfig
 from repro.workloads.dynamics import BurstSpec, WorkloadBurst
 

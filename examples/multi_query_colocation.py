@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.analysis.experiments import make_setup
 from repro.analysis.reporting import format_table
 from repro.scenarios import ScenarioRunner, load_scenario
+from repro.scenarios.setups import make_setup
 from repro.baselines import AllSPStrategy, StaticLoadFactorStrategy
 from repro.simulation import (
     CoLocatedBlockExecutor,

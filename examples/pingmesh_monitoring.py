@@ -18,8 +18,8 @@ Run with::
 
 from __future__ import annotations
 
-from repro.analysis.experiments import make_setup, run_single_source
 from repro.analysis.reporting import format_table
+from repro.scenarios.setups import make_setup, run_single_source
 from repro.workloads.dynamics import ResourceDynamics
 from repro.workloads.pingmesh import PingmeshConfig, PingmeshWorkload
 from repro.workloads.traces import per_pair_latency_ranges, record_trace

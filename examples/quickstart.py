@@ -15,8 +15,8 @@ Run with::
 from __future__ import annotations
 
 from repro import Stream, JarvisConfig
-from repro.analysis.experiments import make_setup, run_single_source
 from repro.analysis.reporting import format_table
+from repro.scenarios.setups import make_setup, run_single_source
 
 
 def build_custom_query():

@@ -26,7 +26,8 @@ for the full surface:
 * :mod:`repro.baselines`   — Jarvis, its ablations, and the paper's baselines.
 * :mod:`repro.workloads`   — synthetic Pingmesh / LogAnalytics generators.
 * :mod:`repro.synopsis`    — the sampling comparison of Figure 9.
-* :mod:`repro.analysis`    — canned experiments for every figure.
+* :mod:`repro.scenarios`   — scenario specs and the runner for Figs. 10/11.
+* :mod:`repro.analysis`    — canned single-block experiments and reporting.
 """
 
 from .config import (
@@ -95,16 +96,13 @@ from .workloads import (
     LogAnalyticsConfig,
     LogAnalyticsWorkload,
 )
-from .analysis import (
-    make_setup,
-    make_strategy,
-    run_single_source,
+from .analysis.experiments import (
     throughput_sweep,
     convergence_run,
-    scaling_sweep,
-    multi_query_sweep,
     synopsis_comparison,
 )
+from .scenarios.runner import multi_query_sweep
+from .scenarios.setups import make_setup, make_strategy, run_single_source
 
 __version__ = "1.0.0"
 
@@ -177,7 +175,6 @@ __all__ = [
     "run_single_source",
     "throughput_sweep",
     "convergence_run",
-    "scaling_sweep",
     "multi_query_sweep",
     "synopsis_comparison",
 ]

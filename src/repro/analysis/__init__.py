@@ -1,22 +1,16 @@
-"""Experiment harness: canned runners for every figure in the evaluation.
+"""Experiment harness: canned runners for the single-block figures.
 
 The functions in :mod:`repro.analysis.experiments` reproduce the experiments
-behind Figures 3 and 7-11 (plus the inline claims of Sections VI-B/C/E/F);
-:mod:`repro.analysis.reporting` formats their results as the tables and series
-recorded in ``EXPERIMENTS.md`` and printed by the benchmark harness.
+behind Figures 3 and 7-9 (plus the inline claims of Sections VI-B/C);
+:mod:`repro.analysis.reporting` formats results as the tables, series and
+HTML reports printed by the benchmark harness.  The cluster-scale figures
+(10 and 11) run through :mod:`repro.scenarios`.
 """
 
 from .experiments import (
-    QuerySetup,
-    make_setup,
-    make_strategy,
-    measure_relays,
-    run_single_source,
     throughput_sweep,
     convergence_run,
     partitioning_mode_comparison,
-    scaling_sweep,
-    multi_query_sweep,
     synopsis_comparison,
     operator_count_convergence,
     adaptation_overhead,
@@ -24,16 +18,9 @@ from .experiments import (
 from .reporting import format_table, series_table, summarize_sweep
 
 __all__ = [
-    "QuerySetup",
-    "make_setup",
-    "make_strategy",
-    "measure_relays",
-    "run_single_source",
     "throughput_sweep",
     "convergence_run",
     "partitioning_mode_comparison",
-    "scaling_sweep",
-    "multi_query_sweep",
     "synopsis_comparison",
     "operator_count_convergence",
     "adaptation_overhead",

@@ -1,7 +1,8 @@
-"""Declarative scenario harness: specs, loader, runner, and env-alias shims.
+"""Declarative scenario harness: specs, loader, runner, and CLI.
 
 This package owns everything between "a figure-style experiment described as
-data" and "metrics out of the simulators":
+data" and "metrics out of the simulators", and is the only way to run the
+cluster-scale experiments:
 
 * :mod:`~repro.scenarios.spec` — frozen, validated dataclasses describing a
   scenario (workload, fleet, tiling, migration, sweep axes, run knobs);
@@ -12,12 +13,15 @@ data" and "metrics out of the simulators":
 * :mod:`~repro.scenarios.runner` — the run primitives plus the
   :class:`~repro.scenarios.runner.ScenarioRunner` that expands a spec's sweep
   into runs and renders tables/reports;
-* :mod:`~repro.scenarios.knobs` — deprecated ``FIG10_*``/``FIG11_*``/
-  ``RECMODE_*`` env aliases translated into override strings.
+* :mod:`~repro.scenarios.cli` — ``python -m repro.scenarios CONFIG --set
+  ...``.
+
+Values arrive only through a config file and ``--set`` overrides; nothing
+here reads the process environment (simlint SL009).
 
 Layering rule (checked by the import graph, not convention): nothing in this
 package imports :mod:`repro.analysis` at module scope — analysis sits *above*
-the harness and re-exports from it for backward compatibility.
+the harness.
 """
 
 from .loader import apply_overrides, load_scenario, parse_override, spec_from_dict

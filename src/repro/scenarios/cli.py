@@ -6,7 +6,9 @@ runs it, prints the benchmark-style table, and writes ``BENCH_<name>.json``
 plus a self-contained ``REPORT_<name>.html`` under ``--out``.
 
 Deliberately env-free: every knob arrives via the config file or ``--set``
-(simlint SL009 keeps it that way).
+(simlint SL009 keeps it that way).  A bad config, a missing file, or a
+malformed override is reported as one ``error:`` line with exit status 2,
+the argparse convention for usage errors.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
+from ..errors import ConfigurationError
 from .loader import load_scenario
 from .runner import ScenarioRunner
 
@@ -51,12 +54,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    spec = load_scenario(args.config, overrides=args.overrides)
-    if not spec.enabled:
-        print(f"scenario {spec.name!r} is disabled (scenario.enabled=false)")
-        return 0
-    result = ScenarioRunner().run(spec)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        spec = load_scenario(args.config, overrides=args.overrides)
+        if not spec.enabled:
+            print(f"scenario {spec.name!r} is disabled (scenario.enabled=false)")
+            return 0
+        result = ScenarioRunner().run(spec)
+    except ConfigurationError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
     print(result.table)
 
     out_dir = Path(args.out)

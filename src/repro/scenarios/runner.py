@@ -4,18 +4,18 @@ Two layers live here:
 
 * the **run primitives** — :func:`run_multi_source`, :func:`run_sharded`,
   :func:`run_multi_query`, :func:`dynamic_replacement_sweep`, and the
-  closed-form :func:`multi_query_sweep` — moved verbatim from
-  ``repro.analysis.experiments`` (which still re-exports them), each running
-  one configuration against the right executor;
+  closed-form :func:`multi_query_sweep` — each running one configuration
+  against the right executor;
 * the :class:`ScenarioRunner`, which expands a declarative spec's sweep axes
   into primitive calls and returns a :class:`ScenarioResult` carrying the
-  legacy-shaped raw result, a formatted text table, the ``BENCH_*.json``
-  payload, and a self-contained HTML report.
+  raw result, a formatted text table, the ``BENCH_*.json`` payload, and a
+  self-contained HTML report.
 
-Fixed-seed equivalence with the pre-refactor ``experiments.py`` entry points
-is test-enforced (``tests/test_scenarios.py`` pins golden numbers captured
-before the refactor), so the spec-driven path and the keyword-argument path
-must keep producing identical metrics.
+The runner is the single entry point to the cluster-scale experiments
+(Figures 10 and 11, record-mode and worker-pool timing).
+``tests/data/scenario_golden.json`` pins the numbers every scenario kind
+produced when the harness was introduced; ``tests/test_scenarios.py``
+checks each one through the spec path.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .setups import (
     make_strategy,
     run_single_source,
 )
-from .spec import ScenarioSpec
+from .spec import SCENARIO_MODES, ScenarioSpec
 
 #: Default per-block ingress multiple for the sharded tiling sweep: small
 #: enough that a CI-sized fleet saturates a single block (§VI-E scale-out).
@@ -69,12 +69,9 @@ SHARDED_CAPACITY_MULTIPLE = 3.0
 #: Default ingress headroom for the dynamic re-placement scenario.
 DYNAMIC_INGRESS_HEADROOM = 1.67
 
-#: Modes accepted by :func:`multi_query_colocation_sweep`.
-FIG11_MODES = ("analytic", "simulated", "comparison")
-
 
 # ---------------------------------------------------------------------------
-# Run primitives (moved from repro.analysis.experiments).
+# Run primitives.
 # ---------------------------------------------------------------------------
 
 
@@ -547,9 +544,9 @@ def multi_query_colocation_sweep(
     ``min(demand, cores / count)`` — past that knee instances are starved and
     aggregate throughput saturates.
     """
-    if mode not in FIG11_MODES:
+    if mode not in SCENARIO_MODES:
         raise ConfigurationError(
-            f"unknown mode {mode!r}; expected one of {FIG11_MODES}"
+            f"unknown mode {mode!r}; expected one of {SCENARIO_MODES}"
         )
     if mode == "analytic":
         return multi_query_sweep(
@@ -759,7 +756,7 @@ class ScenarioResult:
                 "rate_scale": spec.workload.rate_scale,
                 "cpu_budget": _initial_budget(spec),
                 "min_speedup": spec.min_speedup,
-                "record_modes": list(spec.record_modes or ("object", "batched")),
+                "record_modes": list(spec.resolved_record_modes()),
                 "arena_min_speedup": spec.arena_min_speedup,
             },
             "results": self.raw,
@@ -834,22 +831,16 @@ def _budget_arg(spec: ScenarioSpec) -> "float | BudgetSchedule":
 class ScenarioRunner:
     """Expand a :class:`ScenarioSpec` into runs and collect the results.
 
-    ``migration`` optionally overrides the migration policy with a
-    pre-constructed object (the one knob a config file cannot express); all
-    declarative knobs come from the spec itself.
+    Every knob comes from the spec itself.
     """
 
-    def run(
-        self,
-        spec: ScenarioSpec,
-        migration: Optional[MigrationPolicy] = None,
-    ) -> ScenarioResult:
+    def run(self, spec: ScenarioSpec) -> ScenarioResult:
         if spec.kind == "scaling":
             return self._run_scaling(spec)
         if spec.kind == "sharded":
             return self._run_sharded(spec)
         if spec.kind == "dynamic_replacement":
-            return self._run_dynamic(spec, migration)
+            return self._run_dynamic(spec)
         if spec.kind == "colocated":
             return self._run_colocated(spec)
         if spec.kind == "record_modes":
@@ -1060,12 +1051,11 @@ class ScenarioRunner:
 
     # -- dynamic re-placement ------------------------------------------------
 
-    def _run_dynamic(
-        self, spec: ScenarioSpec, migration: Optional[MigrationPolicy]
-    ) -> ScenarioResult:
+    def _run_dynamic(self, spec: ScenarioSpec) -> ScenarioResult:
         hotspot = spec.workload.hotspot
         assert hotspot is not None  # enforced by ScenarioSpec validation
-        if migration is None and spec.migration is not None:
+        migration: Optional[MigrationPolicy] = None
+        if spec.migration is not None:
             if spec.migration.policy == "saturation":
                 migration = SaturationMigrationPolicy(
                     saturation_pressure=spec.migration.saturation_pressure,
@@ -1155,7 +1145,7 @@ class ScenarioRunner:
             elapsed = time.perf_counter() - start
             return metrics, elapsed
 
-        modes = spec.record_modes or ("object", "batched")
+        modes = spec.resolved_record_modes()
         raw: Dict[str, Dict[str, float]] = {}
         for strategy_name in strategies:
             timings = {mode: run_mode(strategy_name, mode) for mode in modes}
@@ -1560,7 +1550,7 @@ def _colocated_result(
 def _record_modes_result(
     spec: ScenarioSpec, raw: Dict[str, Dict[str, float]]
 ) -> ScenarioResult:
-    modes = spec.record_modes or ("object", "batched")
+    modes = spec.resolved_record_modes()
     headers = ["strategy"]
     headers += [f"{mode}_wall_s" for mode in modes]
     if "speedup" in next(iter(raw.values()), {}):

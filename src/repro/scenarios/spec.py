@@ -5,9 +5,10 @@ figure-style experiment: which executor family runs (``kind``), the query and
 workload dynamics, the fleet composition and CPU budget schedule, the block
 tiling and placement policy, the migration policy, and the sweep axes to
 expand into individual runs.  Specs are plain frozen dataclasses so they can
-be built from TOML files (:mod:`repro.scenarios.loader`), from benchmark env
-aliases (:mod:`repro.scenarios.knobs`), or directly in code; the
-:class:`~repro.scenarios.runner.ScenarioRunner` executes them.
+be built from TOML files plus ``--set`` overrides
+(:mod:`repro.scenarios.loader`) or directly in code; the
+:class:`~repro.scenarios.runner.ScenarioRunner` executes them.  A spec is
+the only way to run a cluster-scale experiment.
 
 Every float knob is validated through :func:`repro.errors.require_finite`
 (simlint rule SL008 discipline) at construction, so a NaN smuggled in via a
@@ -249,16 +250,17 @@ class ScenarioSpec:
     record_mode: str = "batched"
     seed: int = 1
     mode: str = "simulated"
-    #: Assertion shims skip a disabled scenario (FIG10_MIGRATION=0 alias).
+    #: Assertion shims skip a disabled scenario (``scenario.enabled=false``).
     enabled: bool = True
-    #: ``record_modes`` kind: asserted speedup floor (0 disables the gate).
+    #: ``record_modes`` kind: asserted batched-over-object speedup floor (0
+    #: disables the gate; a positive floor needs both modes timed).
     min_speedup: float = 0.0
     #: ``record_modes`` kind: which modes to time, in order.  Empty means the
     #: legacy object-vs-batched pair; include ``"arena"`` to add the
     #: fleet-arena series (its speedup is measured over batched).
     record_modes: Tuple[str, ...] = ()
     #: ``record_modes`` kind: asserted arena-over-batched speedup floor
-    #: (0 disables; only meaningful when both modes are timed).
+    #: (0 disables; a positive floor needs both modes timed).
     arena_min_speedup: float = 0.0
     #: ``parallel`` kind: asserted parallel-over-serial speedup floor at
     #: ``tiling.workers`` workers (0 disables the gate — e.g. on machines
@@ -320,13 +322,18 @@ class ScenarioSpec:
             raise ConfigurationError(
                 f"record_modes must be distinct, got {self.record_modes!r}"
             )
-        if self.arena_min_speedup > 0.0 and self.record_modes and not (
-            "arena" in self.record_modes and "batched" in self.record_modes
+        # A speedup floor must name a mode pair that is actually timed, or
+        # the gate would fail with a KeyError only after the whole run.
+        timed = self.resolved_record_modes()
+        for floor, value, pair in (
+            ("min_speedup", self.min_speedup, ("object", "batched")),
+            ("arena_min_speedup", self.arena_min_speedup, ("batched", "arena")),
         ):
-            raise ConfigurationError(
-                "arena_min_speedup needs both 'arena' and 'batched' in "
-                f"record_modes, got {self.record_modes!r}"
-            )
+            if value > 0.0 and not set(pair) <= set(timed):
+                raise ConfigurationError(
+                    f"{floor} needs both {pair[0]!r} and {pair[1]!r} in "
+                    f"record_modes, got {timed!r}"
+                )
         require_finite("per_query_demand", self.per_query_demand, positive=True)
         if self.max_sources_limit < 0:
             raise ConfigurationError(
@@ -348,6 +355,11 @@ class ScenarioSpec:
         if self.kind in ("record_modes", "parallel"):
             return max(1, self.epochs // 4)
         return max(2, self.epochs // 3)
+
+    def resolved_record_modes(self) -> Tuple[str, ...]:
+        """The modes a ``record_modes`` run times, in order (empty means the
+        legacy object-vs-batched pair)."""
+        return self.record_modes or ("object", "batched")
 
     def with_overrides(self, **changes: object) -> "ScenarioSpec":
         """A copy with top-level fields replaced (revalidates)."""

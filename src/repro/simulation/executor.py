@@ -13,6 +13,18 @@ Source stepping, strategy feedback, and all goodput/latency accounting live
 in the shared :mod:`repro.simulation.engine`; this executor contributes only
 its network/SP terms: a private :class:`NetworkLink` uplink and an
 uncontended stream-processor share.
+
+It is *not* a one-source :class:`~repro.simulation.multisource.MultiSourceExecutor`
+block, and the single-block figures (3, 7, 8, 9) depend on its model.  The
+SP here processes every arrival in the epoch it crosses the link and
+clips only the *reported* CPU at ``sp_cores_share``; the block drains a
+backlog under its SP capacity instead, and ships over a shared link with
+its own queue accounting.  With identical inputs (s2s_probe, 400
+records/epoch, seed 1, 20 epochs, the same link bandwidth, 1 or 4 SP
+cores) Best-OP at budget 0.55 and All-SP at 1.0 differ from epoch 0 in
+``goodput_bytes``, ``network_queue_bytes`` and ``sp_cpu_seconds``, and in
+``latency_s`` in 10-15 of 20 epochs; Jarvis at 0.55 differs in 14 of 20
+epochs.
 """
 
 from __future__ import annotations

@@ -22,9 +22,9 @@ for _path in (_SRC, _TOOLS):
     if _path not in sys.path:
         sys.path.insert(0, _path)
 
-from repro.analysis.experiments import QuerySetup, make_setup  # noqa: E402
 from repro.config import JarvisConfig  # noqa: E402
 from repro.query.builder import s2s_probe_query  # noqa: E402
+from repro.scenarios.setups import QuerySetup, make_setup  # noqa: E402
 from repro.workloads.pingmesh import PingmeshConfig, PingmeshWorkload, s2s_cost_model  # noqa: E402
 
 

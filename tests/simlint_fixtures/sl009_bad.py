@@ -1,5 +1,5 @@
 # simlint-fixture-path: repro/analysis/experiments.py
-"""Known-bad fixture: environment knobs read outside the config layer."""
+"""Known-bad fixture: environment knobs read instead of config overrides."""
 
 import os
 from os import environ, getenv

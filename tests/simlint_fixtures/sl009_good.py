@@ -1,19 +1,16 @@
-# simlint-fixture-path: repro/scenarios/knobs.py
-"""Known-good fixture: env aliases live in the scenario config layer.
+# simlint-fixture-path: repro/scenarios/cli.py
+"""Known-good fixture: values arrive as explicit ``--set`` overrides.
 
-Only ``repro/scenarios/knobs.py`` may read the environment; every other
-module takes its knobs from a scenario config (``configs/*.toml``) or a
-``--set`` override list, so the same code below is a violation anywhere
-else (see ``sl009_bad.py``).
+No module may read the environment, the scenario CLI included; a run's
+values come from a scenario config (``configs/*.toml``) plus override
+strings passed on the command line (see ``sl009_bad.py`` for the banned
+spellings).
 """
 
-import os
+import argparse
 
 
-def deprecated_aliases(aliases):
-    overrides = []
-    for env_var, override_path in aliases.items():
-        value = os.environ.get(env_var)
-        if value is not None:
-            overrides.append(f"{override_path}={value}")
-    return overrides
+def overrides_from_argv(argv):
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--set", dest="overrides", action="append", default=[])
+    return parser.parse_args(argv).overrides

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.experiments import ground_truth_profile, make_strategy
 from repro.baselines import (
     AllSPStrategy,
     AllSrcStrategy,
@@ -22,6 +21,7 @@ from repro.core.runtime import EpochObservation
 from repro.core.state import OperatorState, RuntimePhase
 from repro.errors import ConfigurationError, PartitioningError
 from repro.query.builder import s2s_probe_query
+from repro.scenarios.setups import ground_truth_profile, make_strategy
 from repro.workloads.pingmesh import s2s_cost_model
 
 
@@ -176,7 +176,7 @@ class TestJarvisAndAblations:
 
 class TestStrategyFactory:
     def test_factory_builds_every_documented_strategy(self, s2s_setup):
-        from repro.analysis.experiments import STRATEGY_NAMES
+        from repro.scenarios.setups import STRATEGY_NAMES
 
         for name in STRATEGY_NAMES:
             strategy = make_strategy(name, s2s_setup, compute_budget=0.6)

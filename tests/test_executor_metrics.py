@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.experiments import make_strategy, run_single_source
 from repro.core.state import QueryState
 from repro.errors import SimulationError
+from repro.scenarios.setups import make_strategy, run_single_source
 from repro.simulation.executor import BuildingBlockExecutor, ExecutorConfig
 from repro.simulation.metrics import EpochMetrics, RunMetrics
 from repro.simulation.node import BudgetSchedule

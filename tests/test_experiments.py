@@ -7,13 +7,9 @@ import pytest
 from repro.analysis.experiments import (
     adaptation_overhead,
     convergence_run,
-    make_setup,
-    max_supported_sources,
-    multi_query_sweep,
     operator_count_convergence,
     partitioning_mode_comparison,
     reset_jarvis_plan,
-    scaling_sweep,
     swap_join_table,
     synopsis_comparison,
     throughput_sweep,
@@ -26,6 +22,15 @@ from repro.analysis.reporting import (
 )
 from repro.errors import ConfigurationError
 from repro.query.records import IpToTorTable
+from repro.scenarios import (
+    FleetSpec,
+    ScenarioRunner,
+    ScenarioSpec,
+    SweepSpec,
+    WorkloadSpec,
+)
+from repro.scenarios.runner import multi_query_sweep
+from repro.scenarios.setups import make_setup
 from repro.simulation.node import BudgetSchedule
 
 RPE = 200  # records per epoch for fast integration runs
@@ -129,24 +134,34 @@ class TestFigure9:
 
 class TestFigure10:
     def test_scaling_sweep_jarvis_supports_more_sources(self):
-        supported = max_supported_sources(
-            rate_scale=0.5, cpu_budget=0.30, records_per_epoch=400, limit=200
+        spec = ScenarioSpec(
+            name="supported-sources",
+            kind="scaling",
+            mode="analytic",
+            workload=WorkloadSpec(records_per_epoch=400, rate_scale=0.5),
+            fleet=FleetSpec(budget=0.30),
+            sweep=SweepSpec(strategies=("Jarvis", "Best-OP")),
+            max_sources_limit=200,
         )
+        supported = ScenarioRunner().run(spec).raw["supported"]
         assert supported["Jarvis"] > supported["Best-OP"]
         # The paper reports ~75% more sources; allow a generous band.
         ratio = supported["Jarvis"] / max(1, supported["Best-OP"])
         assert ratio > 1.4
 
     def test_scaling_sweep_results_structure(self):
-        results = scaling_sweep(
-            rate_scale=1.0,
-            cpu_budget=0.55,
-            node_counts=(1, 16, 64),
-            strategies=("Jarvis",),
-            records_per_epoch=RPE,
-            num_epochs=25,
+        spec = ScenarioSpec(
+            name="analytic-scaling",
+            kind="scaling",
+            mode="analytic",
+            workload=WorkloadSpec(records_per_epoch=RPE, rate_scale=1.0),
+            fleet=FleetSpec(budget=0.55),
+            sweep=SweepSpec(sources=(1, 16, 64), strategies=("Jarvis",)),
+            epochs=25,
             warmup_epochs=10,
+            max_sources_limit=0,
         )
+        results = ScenarioRunner().run(spec).raw["sweep"]
         series = results["Jarvis"]
         assert [r.num_sources for r in series] == [1, 16, 64]
         assert series[0].aggregate_throughput_mbps <= series[-1].expected_throughput_mbps

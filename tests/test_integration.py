@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.experiments import make_setup, run_single_source
 from repro.baselines import JarvisStrategy
 from repro.core.state import QueryState, RuntimePhase
 from repro.query.builder import s2s_probe_query
+from repro.scenarios.setups import make_setup, run_single_source
 from repro.simulation.node import BudgetSchedule
 from repro.workloads.pingmesh import PingmeshConfig, PingmeshWorkload, s2s_cost_model
 from repro.workloads.traces import record_trace, replay_trace

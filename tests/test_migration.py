@@ -5,13 +5,17 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.experiments import (
-    HotspotWorkload,
-    dynamic_replacement_sweep,
-    make_setup,
-)
 from repro.baselines import AllSPStrategy
 from repro.errors import SimulationError
+from repro.scenarios import (
+    FleetSpec,
+    HotspotSpec,
+    ScenarioRunner,
+    ScenarioSpec,
+    TilingSpec,
+    WorkloadSpec,
+)
+from repro.scenarios.setups import HotspotWorkload, make_setup
 from repro.simulation.metrics import ClusterEpochMetrics
 from repro.simulation.multisource import MultiSourceConfig, homogeneous_sources
 from repro.simulation.node import StreamProcessorNode
@@ -280,6 +284,23 @@ class TestSaturationPolicy:
             SaturationMigrationPolicy(rate_smoothing=0.0)
 
 
+def hotspot_spec(records_per_epoch, num_epochs, shift_epoch, record_mode):
+    """The mid-run hotspot scenario: 16 All-SP sources on 2 blocks at a full
+    CPU budget, block 0's fleet doubling its rate at ``shift_epoch``."""
+    return ScenarioSpec(
+        name="dynamic-replacement",
+        kind="dynamic_replacement",
+        workload=WorkloadSpec(
+            records_per_epoch=records_per_epoch,
+            hotspot=HotspotSpec(shift_epoch=shift_epoch, factor=2.0),
+        ),
+        fleet=FleetSpec(sources=16, strategy="All-SP", budget=1.0),
+        tiling=TilingSpec(blocks=2, ingress_headroom=1.67),
+        epochs=num_epochs,
+        record_mode=record_mode,
+    )
+
+
 class TestHotspotRecovery:
     @pytest.mark.parametrize("record_mode", ["object", "batched"])
     def test_dynamic_recovers_half_the_goodput_gap(self, record_mode):
@@ -287,12 +308,9 @@ class TestHotspotRecovery:
         recovers >= 50% of the static-to-oracle goodput gap, migrations
         execute, and records are conserved (enforced inside the sweep) — in
         both record modes."""
-        result = dynamic_replacement_sweep(
-            records_per_epoch=120,
-            num_epochs=30,
-            shift_epoch=8,
-            record_mode=record_mode,
-        )
+        result = ScenarioRunner().run(
+            hotspot_spec(120, num_epochs=30, shift_epoch=8, record_mode=record_mode)
+        ).raw
         assert result["oracle_mbps"] > result["static_mbps"]
         assert result["dynamic_mbps"] > result["static_mbps"]
         assert result["gap_recovered"] >= 0.5
@@ -312,10 +330,9 @@ class TestHotspotRecovery:
 
     def test_both_modes_agree_exactly(self):
         results = {
-            mode: dynamic_replacement_sweep(
-                records_per_epoch=120, num_epochs=24, shift_epoch=6,
-                record_mode=mode,
-            )
+            mode: ScenarioRunner().run(
+                hotspot_spec(120, num_epochs=24, shift_epoch=6, record_mode=mode)
+            ).raw
             for mode in ("object", "batched")
         }
         for key in ("static_mbps", "dynamic_mbps", "oracle_mbps"):

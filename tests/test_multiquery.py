@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.baselines import AllSPStrategy, StaticLoadFactorStrategy
 from repro.config import JarvisConfig
 from repro.errors import SimulationError
-from repro.analysis.experiments import make_setup, make_strategy
+from repro.scenarios.setups import make_setup, make_strategy
 from repro.simulation.metrics import ClusterMetrics, MultiQueryMetrics, RunMetrics
 from repro.simulation.multiquery import (
     CoLocatedBlockExecutor,

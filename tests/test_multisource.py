@@ -6,7 +6,7 @@ import pytest
 
 from repro.baselines import AllSPStrategy, StaticLoadFactorStrategy
 from repro.errors import SimulationError
-from repro.analysis.experiments import make_setup, make_strategy, run_single_source
+from repro.scenarios.setups import make_setup, make_strategy, run_single_source
 from repro.simulation.cluster import ClusterModel
 from repro.simulation.metrics import ClusterEpochMetrics, ClusterMetrics, RunMetrics
 from repro.simulation.multisource import (

@@ -18,13 +18,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.experiments import make_setup
 from repro.baselines import AllSPStrategy
 from repro.errors import SimulationError
 from repro.query.records import FleetArena
 from repro.scenarios.loader import spec_from_dict
 from repro.scenarios.runner import run_sharded
-from repro.scenarios.setups import make_strategy
+from repro.scenarios.setups import make_setup, make_strategy
 from repro.simulation.multisource import MultiSourceConfig, homogeneous_sources
 from repro.simulation.node import StreamProcessorNode
 from repro.simulation.parallel import (

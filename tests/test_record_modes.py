@@ -22,14 +22,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.experiments import (
-    make_setup,
-    make_strategy,
-    multi_query_colocation_sweep,
-    run_multi_query,
-    run_multi_source,
-    run_sharded,
-)
 from repro.baselines import AllSPStrategy
 from repro.query.aggregates import (
     AvgAggregate,
@@ -54,6 +46,9 @@ from repro.query.records import (
     RecordRowView,
     record_size_bytes,
 )
+from repro.scenarios import ScenarioRunner, ScenarioSpec, SweepSpec, WorkloadSpec
+from repro.scenarios.runner import run_multi_query, run_multi_source, run_sharded
+from repro.scenarios.setups import make_setup, make_strategy
 from repro.simulation.engine import EpochEngine, RECORD_MODES, validate_record_mode
 from repro.simulation.executor import BuildingBlockExecutor, ExecutorConfig
 from repro.simulation.multiquery import CoLocatedBlockExecutor, QuerySpec
@@ -348,14 +343,18 @@ class TestColocatedEquivalence:
 
     def test_fig11_sweep_rows_bit_exact(self):
         rows = {
-            mode: multi_query_colocation_sweep(
-                query_counts=(1, 2),
-                records_per_epoch=80,
-                num_epochs=8,
-                warmup_epochs=2,
-                mode="simulated",
-                record_mode=mode,
-            )
+            mode: ScenarioRunner().run(
+                ScenarioSpec(
+                    name="fig11-rows",
+                    kind="colocated",
+                    mode="simulated",
+                    workload=WorkloadSpec(records_per_epoch=80),
+                    sweep=SweepSpec(queries=(1, 2)),
+                    epochs=8,
+                    warmup_epochs=2,
+                    record_mode=mode,
+                )
+            ).raw
             for mode in RECORD_MODES
         }
         assert rows["object"] == rows["batched"] == rows["arena"]

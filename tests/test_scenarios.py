@@ -3,13 +3,11 @@
 Three layers are covered:
 
 * **spec/loader** — dataclass validation, dict/TOML loading with strict
-  unknown-key checking, ``--set`` override parsing and deep-merge, and the
-  deprecated env-var aliases in :mod:`repro.scenarios.knobs`;
-* **equivalence** — fixed-seed results must match the pre-refactor
-  ``experiments`` functions bit for bit.  ``tests/data/scenario_golden.json``
-  pins the numbers those functions produced *before* they became thin
-  builders over :class:`ScenarioRunner`; both the refactored entry points and
-  dict-config runs are checked against it;
+  unknown-key checking, and ``--set`` override parsing and deep-merge;
+* **equivalence** — fixed-seed results must match the golden numbers bit
+  for bit.  ``tests/data/scenario_golden.json`` pins what every scenario kind
+  produced when the declarative harness was introduced; each key is checked
+  through a dict-config run of :class:`ScenarioRunner`;
 * **reporting** — the text-table helpers (including the ``ratio(0, 0)`` and
   ``series_table`` ordering fixes) and the self-contained HTML report, with
   golden files for the BENCH JSON and REPORT HTML artifacts.
@@ -19,16 +17,10 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.experiments import (
-    max_supported_sources,
-    multi_query_sweep,
-    scaling_comparison,
-)
 from repro.analysis.reporting import (
     flatten_rows,
     format_table,
@@ -55,13 +47,10 @@ from repro.scenarios import (
     spec_from_dict,
 )
 from repro.scenarios import loader as scenario_loader
-from repro.scenarios.knobs import (
-    FIG10_MIGRATION_ALIASES,
-    RECMODE_ALIASES,
-    deprecated_env_overrides,
-)
+from repro.scenarios.runner import multi_query_sweep
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 requires_tomllib = pytest.mark.skipif(
     scenario_loader.tomllib is None, reason="tomllib needs Python >= 3.11"
@@ -154,6 +143,45 @@ class TestSpecValidation:
         assert dynamic.resolved_warmup() == 7  # the hotspot's shift epoch
         explicit = ScenarioSpec(name="s", kind="scaling", epochs=25, warmup_epochs=1)
         assert explicit.resolved_warmup() == 1
+
+    def test_empty_record_modes_resolve_to_object_and_batched(self):
+        spec = ScenarioSpec(name="s", kind="record_modes")
+        assert spec.record_modes == ()
+        assert spec.resolved_record_modes() == ("object", "batched")
+        arena = ScenarioSpec(
+            name="s", kind="record_modes", record_modes=("batched", "arena")
+        )
+        assert arena.resolved_record_modes() == ("batched", "arena")
+
+    @requires_tomllib
+    def test_min_speedup_needs_object_and_batched_timed(self):
+        # The arena gate times batched+arena only: a batched-over-object
+        # floor there could never be checked, and the shim used to raise
+        # KeyError on entry["speedup"] after the whole timed run.
+        with pytest.raises(ConfigurationError, match="min_speedup"):
+            load_scenario(
+                CONFIG_DIR / "record_modes_arena_gate.toml",
+                overrides=["run.min_speedup=5"],
+            )
+
+    def test_arena_min_speedup_needs_batched_and_arena_timed(self):
+        # Empty record_modes means object+batched, so no arena series exists
+        # (the shim used to raise KeyError on entry["arena_speedup"]).
+        with pytest.raises(ConfigurationError, match="arena_min_speedup"):
+            load_scenario(
+                {
+                    "scenario": {"name": "x", "kind": "record_modes"},
+                    "run": {"arena_min_speedup": 3},
+                }
+            )
+
+    @requires_tomllib
+    @pytest.mark.parametrize(
+        "path", sorted(CONFIG_DIR.glob("*.toml")), ids=lambda path: path.name
+    )
+    def test_shipped_configs_load(self, path):
+        # Including the two speedup gates, whose floors name timed pairs.
+        assert load_scenario(path).name == path.stem
 
     def test_with_overrides_revalidates(self):
         spec = ScenarioSpec(name="s", kind="scaling")
@@ -337,46 +365,8 @@ class TestOverrides:
             load_scenario(data, overrides=["run.bogus=1"])
 
 
-class TestDeprecatedEnvAliases:
-    def test_hits_translate_and_warn(self):
-        env = {"RECMODE_EPOCHS": "9", "RECMODE_SOURCES": "12", "UNRELATED": "1"}
-        with pytest.warns(DeprecationWarning) as captured:
-            overrides = deprecated_env_overrides(RECMODE_ALIASES, env=env)
-        assert overrides == ["run.epochs=9", "fleet.sources=12"]
-        messages = [str(w.message) for w in captured]
-        assert len(messages) == 2
-        assert any("--set run.epochs=9" in m for m in messages)
-
-    def test_boolean_path_normalizes_legacy_spellings(self):
-        for raw, expected in (("0", "false"), ("no", "false"), ("1", "true")):
-            with pytest.warns(DeprecationWarning):
-                overrides = deprecated_env_overrides(
-                    FIG10_MIGRATION_ALIASES, env={"FIG10_MIGRATION": raw}
-                )
-            assert overrides == [f"scenario.enabled={expected}"]
-
-    def test_empty_env_is_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert deprecated_env_overrides(RECMODE_ALIASES, env={}) == []
-
-    def test_alias_overrides_drive_the_loader(self):
-        with pytest.warns(DeprecationWarning):
-            overrides = deprecated_env_overrides(
-                FIG10_MIGRATION_ALIASES, env={"FIG10_MIGRATION": "0"}
-            )
-        spec = load_scenario(
-            {
-                "scenario": {"name": "x", "kind": "dynamic_replacement"},
-                "workload": {"hotspot": {"shift_epoch": 4}},
-            },
-            overrides=overrides,
-        )
-        assert spec.enabled is False
-
-
 # ---------------------------------------------------------------------------
-# Fixed-seed equivalence with the pre-refactor experiments functions.
+# Fixed-seed equivalence with the golden numbers.
 # ---------------------------------------------------------------------------
 
 
@@ -400,19 +390,6 @@ class TestGoldenEquivalence:
 
     def test_scaling_comparison_via_config(self, golden, tiny_comparison_result):
         assert tiny_comparison_result.raw == golden["scaling_comparison"]
-
-    def test_scaling_comparison_via_experiments(self, golden):
-        got = scaling_comparison(
-            rate_scale=1.0,
-            cpu_budget=0.55,
-            node_counts=(1, 2),
-            strategies=("Jarvis",),
-            records_per_epoch=120,
-            num_epochs=8,
-            warmup_epochs=2,
-            record_mode="batched",
-        )
-        assert got == golden["scaling_comparison"]
 
     def test_scaling_analytic_sweep(self, golden):
         spec = load_scenario(
@@ -442,13 +419,6 @@ class TestGoldenEquivalence:
         )
         raw = ScenarioRunner().run(spec).raw
         assert raw["supported"] == golden["max_supported_sources"]
-        # The refactored experiments entry point goes through the same runner.
-        assert (
-            max_supported_sources(
-                rate_scale=1.0, cpu_budget=0.55, records_per_epoch=120, limit=64
-            )
-            == golden["max_supported_sources"]
-        )
 
     def test_simulated_scaling_sweep(self, golden):
         spec = load_scenario(
@@ -756,3 +726,40 @@ class TestCli:
         assert code == 0
         assert not out_dir.exists()
         assert "disabled" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [("run.bogus=1", "unknown key"), ("run.epochs", "section.key=value")],
+    )
+    def test_cli_reports_bad_override_without_traceback(
+        self, tmp_path, capsys, override, message
+    ):
+        from repro.scenarios.cli import main
+
+        out_dir = tmp_path / "out"
+        code = main(
+            [
+                str(self._write_config(tmp_path)),
+                "--set",
+                override,
+                "--out",
+                str(out_dir),
+            ]
+        )
+        assert code == 2
+        assert not out_dir.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert "error:" in lines[0] and message in lines[0]
+        assert "Traceback" not in captured.err
+
+    def test_cli_reports_missing_file_without_traceback(self, tmp_path, capsys):
+        from repro.scenarios.cli import main
+
+        code = main([str(tmp_path / "missing.toml"), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("python -m repro.scenarios: error: ")
+        assert "missing.toml" in err and len(err.splitlines()) == 1

@@ -489,13 +489,13 @@ class TestHistoricalBugClasses:
         assert "SL007" in {v.rule_id for v in violations}
 
     def test_env_knob_in_benchmark_fires_sl009(self):
-        # The record-modes benchmark once read RECMODE_* from the environment
-        # directly; knobs now arrive as --set overrides, with the env vars
-        # accepted only through repro/scenarios/knobs.py as deprecated aliases.
+        # The record-modes benchmark once read its knobs from the environment
+        # directly; they now arrive as pytest --set overrides.
         source = (REPO_ROOT / "benchmarks/bench_record_modes.py").read_text()
         reverted = source.replace(
-            "deprecated_env_overrides(RECMODE_ALIASES)",
-            '[f"run.min_speedup={os.environ.get(\'RECMODE_MIN_SPEEDUP\', 5.0)}"]',
+            'CONFIG_DIR / "record_modes.toml", overrides=scenario_overrides',
+            'CONFIG_DIR / "record_modes.toml", '
+            'overrides=[f"run.min_speedup={os.environ.get(\'MIN_SPEEDUP\', 5.0)}"]',
         )
         assert reverted != source
         violations = lint_source(reverted, "benchmarks/bench_record_modes.py")
@@ -551,8 +551,19 @@ class TestHistoricalBugClasses:
         violations = lint_source(reverted, "src/repro/simulation/parallel.py")
         assert "SL014" in {v.rule_id for v in violations}
 
-    def test_env_alias_layer_itself_is_exempt_from_sl009(self):
-        path = REPO_ROOT / "src/repro/scenarios/knobs.py"
-        source = path.read_text()
-        assert "os.environ" in source  # the one sanctioned reader
-        assert lint_source(source, str(path)) == []
+    def test_env_read_in_scenario_cli_fires_sl009(self):
+        # SL009 exempts no file: not even the config layer may fall back to
+        # the environment for a value that --set should carry.
+        source = (REPO_ROOT / "src/repro/scenarios/cli.py").read_text()
+        reverted = source.replace(
+            "spec = load_scenario(args.config, overrides=args.overrides)",
+            "spec = load_scenario(\n"
+            "            args.config,\n"
+            "            overrides=args.overrides\n"
+            '            + os.environ.get("SCENARIO_SET", "").split(),\n'
+            "        )",
+        )
+        assert reverted != source
+        assert lint_source(source, "src/repro/scenarios/cli.py") == []
+        violations = lint_source(reverted, "src/repro/scenarios/cli.py")
+        assert "SL009" in {v.rule_id for v in violations}
