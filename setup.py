@@ -1,9 +1,10 @@
 """Setuptools entry point.
 
-Declares the package layout, the runtime dependencies, and the ``[test]``
+Declares the package layout, the runtime dependency, and the ``[test]``
 extra (pytest plus hypothesis for the property-based suites under
-``tests/``).  Runtime dependencies are numpy and scipy: the LP solver uses
-scipy's HiGHS backend, and the scenario goldens are recorded from its plans.
+``tests/``).  The only runtime dependency is numpy: the Eq. 3 LP is solved in
+closed form.  scipy is a test dependency: its HiGHS solver is the reference
+the closed form is cross-checked against in ``tests/test_properties.py``.
 """
 
 from setuptools import find_packages, setup
@@ -18,15 +19,13 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=[
-        "numpy",
-        "scipy",
-    ],
+    install_requires=["numpy"],
     extras_require={
         "test": [
             "pytest",
             "pytest-benchmark",
             "hypothesis",
+            "scipy",
         ],
     },
 )

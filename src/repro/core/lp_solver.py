@@ -16,37 +16,46 @@ where ``R_{i-1} = Π_{j<i} r_j`` is the cumulative relay ratio, ``c_i`` the
 per-record cost of operator ``i``, ``C`` the compute budget, and ``N_r`` the
 number of records entering the query in an epoch.
 
-This module solves that LP with ``scipy.optimize.linprog`` (HiGHS) and falls
-back to a proportional heuristic when the solver is unavailable or fails, so
-callers always receive a feasible plan.
+This module solves the LP in closed form.  Substitute the level drops
+``d_k = e_k - e_{k+1}`` (``k = 0..n``, with ``e_0 = 1`` and ``e_{n+1} = 0``).
+The chain constraints become ``d_k >= 0`` with ``Σ_k d_k = 1``, a simplex
+whose vertex ``k`` runs operators ``1..k`` on every record and drains the
+rest.  Writing ``A_k = Σ_{i<=k} R_{i-1} c_i`` for the per-record cost of that
+vertex, the budget is one more row, ``Σ_k A_k d_k <= b`` with ``b = C / N_r``.
+A simplex cut by one row has vertices with at most two nonzero ``d_k``, so
+some optimal ``e`` takes at most two levels besides 0: ``e = 1`` on operators
+``<= j``, ``e = t`` on ``j < i <= k`` and ``e = 0`` after.  The candidates
+are
+
+* the all-drain vector;
+* for each ``k``, ``e = t`` on operators ``<= k`` with ``t = min(1, b / A_k)``;
+* for each ``j < k`` with ``A_j <= b < A_k``, ``e = 1`` on operators
+  ``<= j`` and ``t = (b - A_j) / (A_k - A_j)`` on the rest up to ``k``.
+
+That is O(n²) vectors for ``n`` operators, and the solver keeps the one with
+the smallest drain.  Ties are real: a zero-cost operator with relay ratio 1
+drains the same whether it runs or not.  Among candidates whose drain equals
+the best up to rounding (``1e-12`` relative), the lexicographically largest
+``e`` wins, i.e. the plan that does the most work locally, earliest.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
-
-import numpy as np
 
 from ..errors import SolverError
 from .control_proxy import load_factors_from_effective
 from .profiler import PipelineProfile
 
-# scipy is a runtime dependency (``install_requires`` in setup.py; every CI
-# job that runs the simulator installs it).  A broken install still gets a
-# feasible plan from the fallback, but not the HiGHS plans the goldens hold.
-try:
-    from scipy.optimize import linprog
-
-    _HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - scipy is a declared dependency
-    _HAVE_SCIPY = False
+#: Relative drain difference below which two candidate plans are tied.
+_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
 class DataLevelPlan:
-    """A data-level partitioning plan produced by the LP (or its fallback).
+    """A data-level partitioning plan: the optimal vertex of Eq. 3.
 
     Attributes:
         load_factors: Per-proxy load factors ``p_i``.
@@ -54,8 +63,8 @@ class DataLevelPlan:
         expected_cpu_fraction: Predicted CPU utilisation of the plan, as a
             fraction of the budget-providing core (uses the model's costs).
         expected_drain_fraction: Predicted fraction of input records drained.
-        solver: Which method produced the plan ("lp", "fallback", "zero").
-        status: Solver status message (for diagnostics).
+        solver: ``"lp"`` for a solved plan, ``"zero"`` when there was no
+            compute budget and the plan drains everything.
     """
 
     load_factors: List[float]
@@ -63,8 +72,6 @@ class DataLevelPlan:
     expected_cpu_fraction: float
     expected_drain_fraction: float
     solver: str = "lp"
-    status: str = "optimal"
-    metadata: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.load_factors)
@@ -127,155 +134,86 @@ def solve_data_level_lp(
         profile: Profiled operator costs/relay ratios, records per epoch, and
             the available compute budget.
         compute_budget: Optional override for the budget (fraction of a core).
+            An infinite budget is legal and keeps every operator local.
 
     Returns:
-        A feasible :class:`DataLevelPlan`.  If the LP solver fails, a
-        proportional fallback plan is returned with ``solver="fallback"``.
+        The optimal :class:`DataLevelPlan` (``solver="lp"``), picked by the
+        tie rule of the module docstring, or the all-drain plan
+        (``solver="zero"``) when there is no budget.
 
     Raises:
-        SolverError: If the profile is empty or contains invalid values.
+        SolverError: If the profile is empty, or the budget, records per
+            epoch or epoch duration is NaN.
     """
     costs = profile.costs
     relays = profile.relay_ratios
     n_ops = len(costs)
     if n_ops == 0:
         raise SolverError("cannot partition an empty pipeline")
-    if any(c < 0 for c in costs) or any(r < 0 for r in relays):
-        raise SolverError("costs and relay ratios must be non-negative")
-
     budget = profile.compute_budget if compute_budget is None else compute_budget
+    for name, value in (
+        ("compute_budget", budget),
+        ("records_per_epoch", profile.records_per_epoch),
+        ("epoch_duration_s", profile.epoch_duration_s),
+    ):
+        if math.isnan(value):
+            raise SolverError(f"{name} must not be NaN")
+
     budget = max(0.0, float(budget))
     records = max(profile.records_per_epoch, 1e-9)
     epoch = max(profile.epoch_duration_s, 1e-9)
     # Per-record budget (the paper's C / N_r), in core-seconds per record.
     per_record_budget = budget * epoch / records
 
-    upstream = cumulative_relay(relays)
-
-    # Degenerate budgets (including values so small the solver's feasibility
-    # tolerance would dwarf them) behave exactly like a zero budget.
+    # A per-record budget of at most a femto-core-second is no budget: the
+    # plan drains every record.
     if per_record_budget <= 1e-15:
-        budget = 0.0
-    if budget <= 0.0:
-        effective = [0.0] * n_ops
-        return _plan_from_effective(
-            effective, costs, relays, records, epoch, "zero", "no compute budget"
-        )
-
-    if _HAVE_SCIPY:
-        plan = _solve_with_linprog(
-            costs, relays, upstream, per_record_budget, records, epoch
-        )
-        if plan is not None:
-            return plan
-
-    effective = _fallback_effective(costs, relays, upstream, per_record_budget)
-    return _plan_from_effective(
-        effective, costs, relays, records, epoch, "fallback", "proportional fallback"
-    )
+        return _plan_from_effective([0.0] * n_ops, costs, relays, records, epoch, "zero")
+    effective = _optimal_effective(costs, relays, per_record_budget)
+    return _plan_from_effective(effective, costs, relays, records, epoch, "lp")
 
 
-def _solve_with_linprog(
-    costs: Sequence[float],
-    relays: Sequence[float],
-    upstream: Sequence[float],
-    per_record_budget: float,
-    records: float,
-    epoch: float,
-) -> Optional[DataLevelPlan]:
-    """Solve the LP with scipy's HiGHS backend; return None on failure."""
-    n_ops = len(costs)
-
-    # Objective: minimize sum_i R_{i-1} (e_{i-1} - e_i).  Dropping the constant
-    # R_0 * e_0 term, the coefficient of e_i is (R_i - R_{i-1}) for i < M and
-    # -R_{M-1} for the last operator.
-    c_vec = np.zeros(n_ops)
-    for i in range(n_ops - 1):
-        c_vec[i] = upstream[i + 1] - upstream[i]
-    c_vec[n_ops - 1] = -upstream[n_ops - 1]
-
-    # Budget constraint: sum_i R_{i-1} c_i e_i <= C / N_r.
-    a_ub = [np.array([upstream[i] * costs[i] for i in range(n_ops)])]
-    b_ub = [per_record_budget]
-
-    # Chain constraints e_i <= e_{i-1} for i >= 2 (e_1 <= 1 is a bound).
-    for i in range(1, n_ops):
-        row = np.zeros(n_ops)
-        row[i] = 1.0
-        row[i - 1] = -1.0
-        a_ub.append(row)
-        b_ub.append(0.0)
-
-    bounds = [(0.0, 1.0)] * n_ops
-
-    try:
-        result = linprog(
-            c=c_vec,
-            A_ub=np.vstack(a_ub),
-            b_ub=np.array(b_ub),
-            bounds=bounds,
-            method="highs",
-        )
-    except (ValueError, TypeError):
-        return None
-    if not result.success:
-        return None
-
-    effective = [float(min(1.0, max(0.0, e))) for e in result.x]
-    # Enforce monotonicity exactly (numerical noise can violate it slightly).
-    for i in range(1, n_ops):
-        effective[i] = min(effective[i], effective[i - 1])
-    return _plan_from_effective(
-        effective, costs, relays, records, epoch, "lp", str(result.message)
-    )
-
-
-def _fallback_effective(
-    costs: Sequence[float],
-    relays: Sequence[float],
-    upstream: Sequence[float],
-    per_record_budget: float,
+def _optimal_effective(
+    costs: Sequence[float], relays: Sequence[float], budget: float
 ) -> List[float]:
-    """Proportional fallback: one uniform effective load factor for all stages.
-
-    With ``e_i = e`` for every operator, the compute constraint becomes
-    ``e * Σ R_{i-1} c_i <= C / N_r``, so the largest feasible uniform factor is
-    trivially computable and always satisfies the chain constraints.  It is
-    not optimal (the LP is), but it is feasible, monotone, and gives the
-    model-agnostic fine-tuning step a sensible starting point when the solver
-    is unavailable.
-    """
+    """The optimal ``e`` of Eq. 3 by vertex enumeration (module docstring)."""
     n_ops = len(costs)
-    denom = sum(upstream[i] * costs[i] for i in range(n_ops))
-    if denom <= 1e-15:
-        uniform = 1.0
-    else:
-        uniform = min(1.0, max(0.0, per_record_budget / denom))
-    return [uniform] * n_ops
+    # spent[k] is A_k: the per-record cost of running operators 1..k.
+    spent = [0.0]
+    for upstream, cost in zip(cumulative_relay(relays), costs):
+        spent.append(spent[-1] + upstream * cost)
+    candidates = [[0.0] * n_ops]
+    for k in range(1, n_ops + 1):
+        drained = [0.0] * (n_ops - k)
+        if spent[k] <= budget:
+            candidates.append([1.0] * k + drained)
+            continue
+        candidates.append([budget / spent[k]] * k + drained)
+        for j in range(1, k):
+            if spent[j] <= budget:
+                level = (budget - spent[j]) / (spent[k] - spent[j])
+                candidates.append([1.0] * j + [level] * (k - j) + drained)
+    scored = [(plan_drain_fraction(e, relays), e) for e in candidates]
+    best = min(drain for drain, _ in scored)
+    return max(e for drain, e in scored if drain - best <= _TIE_RTOL * best)
 
 
 def _plan_from_effective(
-    effective: Sequence[float],
+    effective: List[float],
     costs: Sequence[float],
     relays: Sequence[float],
     records: float,
     epoch: float,
     solver: str,
-    status: str,
 ) -> DataLevelPlan:
-    effective = [float(min(1.0, max(0.0, e))) for e in effective]
-    for i in range(1, len(effective)):
-        effective[i] = min(effective[i], effective[i - 1])
-    load_factors = load_factors_from_effective(effective)
     cpu = plan_cpu_fraction(effective, costs, relays, records, epoch)
     drain = plan_drain_fraction(effective, relays)
     if math.isnan(cpu) or math.isnan(drain):
         raise SolverError("plan evaluation produced NaN")
     return DataLevelPlan(
-        load_factors=load_factors,
-        effective_load_factors=list(effective),
+        load_factors=load_factors_from_effective(effective),
+        effective_load_factors=effective,
         expected_cpu_fraction=cpu,
         expected_drain_fraction=drain,
         solver=solver,
-        status=status,
     )

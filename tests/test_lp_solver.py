@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import math
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.config import AdaptationConfig
@@ -12,7 +18,7 @@ from repro.core.lp_solver import (
     solve_data_level_lp,
 )
 from repro.core.profiler import OperatorProfile, PipelineProfile
-from repro.errors import SolverError
+from repro.errors import PartitioningError, SolverError
 
 
 def make_profile(costs, relays, budget, records=1000.0):
@@ -107,8 +113,6 @@ class TestSolve:
             solve_data_level_lp(make_profile([], [], 1.0))
 
     def test_negative_costs_rejected_at_profile_construction(self):
-        from repro.errors import PartitioningError
-
         with pytest.raises(PartitioningError):
             make_profile([-1.0], [0.5], 1.0)
 
@@ -119,34 +123,74 @@ class TestSolve:
     def test_plan_len(self):
         assert len(solve_data_level_lp(s2s_like_profile(0.5))) == 3
 
+    def test_tie_keeps_the_most_local_work(self):
+        """The zero-cost, relay-1.0 window drains the same run or drained.
 
-class TestFallback:
-    def test_fallback_is_feasible(self):
-        from repro.core import lp_solver
+        ``[t, t, 0]`` and ``[1, t, 0]`` have the same objective at budget
+        0.05; the tie rule keeps the lexicographically largest plan.
+        """
+        plan = solve_data_level_lp(s2s_like_profile(0.05))
+        assert plan.solver == "lp"
+        assert plan.effective_load_factors == pytest.approx([1.0, 0.05 / 0.13, 0.0], abs=1e-12)
 
-        profile = s2s_like_profile(0.6)
-        upstream = lp_solver.cumulative_relay(profile.relay_ratios)
-        effective = lp_solver._fallback_effective(
-            profile.costs, profile.relay_ratios, upstream, 0.6 / 1000.0
-        )
-        cpu = plan_cpu_fraction(effective, profile.costs, profile.relay_ratios, 1000.0)
-        assert cpu <= 0.6 + 1e-6
-        assert all(effective[i] >= effective[i + 1] - 1e-9 for i in range(len(effective) - 1))
+    def test_infinite_budget_keeps_everything_local(self):
+        plan = solve_data_level_lp(s2s_like_profile(math.inf))
+        assert plan.solver == "lp"
+        assert plan.load_factors == [1.0, 1.0, 1.0]
 
-    def test_fallback_is_uniform_and_positive_under_partial_budget(self):
-        from repro.core import lp_solver
 
-        costs = [0.5 / 1000.0, 0.5 / 1000.0]
-        relays = [0.9, 0.1]
-        upstream = lp_solver.cumulative_relay(relays)
-        effective = lp_solver._fallback_effective(costs, relays, upstream, 0.5 / 1000.0)
-        assert effective[0] == pytest.approx(effective[1])
-        assert 0.0 < effective[0] < 1.0
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_cost_rejected(self, value):
+        with pytest.raises(PartitioningError, match="cost_per_record"):
+            make_profile([0.0, value], [1.0, 0.5], 0.5)
 
-    def test_fallback_saturates_at_one_with_generous_budget(self):
-        from repro.core import lp_solver
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_relay_rejected(self, value):
+        with pytest.raises(PartitioningError, match="relay_ratio"):
+            make_profile([0.0, 1e-4], [1.0, value], 0.5)
 
-        effective = lp_solver._fallback_effective(
-            [1e-5, 1e-5], [1.0, 1.0], [1.0, 1.0], 1.0
-        )
-        assert effective == [1.0, 1.0]
+    def test_nan_budget_rejected(self):
+        with pytest.raises(SolverError, match="compute_budget"):
+            solve_data_level_lp(s2s_like_profile(math.nan))
+        with pytest.raises(SolverError, match="compute_budget"):
+            solve_data_level_lp(s2s_like_profile(0.5), compute_budget=math.nan)
+
+    @pytest.mark.parametrize("field", ["records_per_epoch", "epoch_duration_s"])
+    def test_nan_epoch_shape_rejected(self, field):
+        profile = s2s_like_profile(0.5)
+        setattr(profile, field, math.nan)
+        with pytest.raises(SolverError, match=field):
+            solve_data_level_lp(profile)
+
+
+def test_runtime_runs_without_scipy():
+    """Every ``import scipy`` fails in the child; the LP and a Jarvis run still work."""
+    code = textwrap.dedent(
+        """
+        import sys
+        sys.modules["scipy"] = None
+        import repro
+        from repro.core.lp_solver import solve_data_level_lp
+        from repro.core.profiler import OperatorProfile, PipelineProfile
+        from repro.scenarios.setups import make_setup, run_single_source
+
+        operators = [
+            OperatorProfile(f"op{i}", c, r, 1000, True)
+            for i, (c, r) in enumerate(zip([0.0, 0.13e-3, 0.80 / 860e3], [1.0, 0.86, 0.30]))
+        ]
+        plan = solve_data_level_lp(PipelineProfile(operators, 0.6, 1000.0))
+        assert plan.solver == "lp", plan.solver
+        setup = make_setup("s2s_probe", records_per_epoch=200)
+        metrics = run_single_source(setup, "Jarvis", 0.6, num_epochs=3, warmup_epochs=0)
+        assert len(metrics.epochs) == 3, len(metrics.epochs)
+        loaded = [name for name, module in sys.modules.items() if module is not None]
+        assert not [name for name in loaded if name.split(".")[0] == "scipy"]
+        """
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.control_proxy import (
@@ -51,6 +52,71 @@ def make_profile(costs, relays, budget):
         OperatorProfile(f"op{i}", costs[i], relays[i], 1000, True) for i in range(n)
     ]
     return PipelineProfile(operators, compute_budget=budget, records_per_epoch=1000.0)
+
+
+def non_negative_st(max_value):
+    """Finite floats in ``[0, max_value]``, with 0 and 1 drawn often."""
+    return st.sampled_from([0.0, min(1.0, max_value)]) | st.floats(
+        min_value=0.0, max_value=max_value
+    )
+
+
+@st.composite
+def exact_tie_profiles(draw):
+    """Eq. 3 instances that hit the LP's ties: zero-cost operators, relay
+    ratios of exactly 1.0, and budgets at some ``A_k`` (the per-record cost
+    of running operators ``1..k``).  Costs and relays stay well inside the
+    range where HiGHS' feasibility tolerance cannot shift its vertex.
+    """
+    n = draw(st.integers(min_value=1, max_value=6))
+    costs = draw(st.lists(
+        st.just(0.0) | st.floats(min_value=1e-5, max_value=1e-3), min_size=n, max_size=n
+    ))
+    relays = draw(st.lists(
+        st.just(1.0) | st.floats(min_value=0.1, max_value=1.0), min_size=n, max_size=n
+    ))
+    spent = [0.0]
+    for upstream, cost in zip(cumulative_relay(relays), costs):
+        spent.append(spent[-1] + upstream * cost)
+    budget = draw(
+        st.sampled_from(spent[1:]) | st.floats(min_value=0.0, max_value=1.5 * spent[-1])
+    )
+    return costs, relays, budget
+
+
+def per_record_profile(costs, relays, budget):
+    """A profile whose ``compute_budget`` is the per-record budget ``C / N_r``."""
+    operators = [
+        OperatorProfile(f"op{i}", c, r, 1000, True) for i, (c, r) in enumerate(zip(costs, relays))
+    ]
+    return PipelineProfile(operators, compute_budget=budget, records_per_epoch=1.0)
+
+
+@pytest.fixture(scope="module")
+def highs():
+    return pytest.importorskip("scipy.optimize").linprog
+
+
+def highs_effective(linprog, costs, relays, budget):
+    """Eq. 3 solved by scipy's HiGHS, the budget row scaled to ``<= 1``."""
+    n = len(costs)
+    if budget <= 1e-15:
+        return [0.0] * n
+    upstream = cumulative_relay(relays)
+    objective = [upstream[i + 1] - upstream[i] for i in range(n - 1)] + [-upstream[-1]]
+    rows = [[upstream[i] * costs[i] / budget for i in range(n)]]
+    for i in range(1, n):
+        rows.append([1.0 if j == i else -1.0 if j == i - 1 else 0.0 for j in range(n)])
+    result = linprog(
+        objective,
+        A_ub=rows,
+        b_ub=[1.0] + [0.0] * (n - 1),
+        bounds=[(0.0, 1.0)] * n,
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert result.success, result.message
+    return [float(e) for e in result.x]
 
 
 # ---------------------------------------------------------------------------
@@ -104,11 +170,8 @@ class TestLPSolverProperties:
         assert all(0.0 <= p <= 1.0 for p in plan.load_factors)
         effective = plan.effective_load_factors
         assert all(effective[i] >= effective[i + 1] - 1e-6 for i in range(n - 1))
-        # The plan never exceeds the budget it was given (up to solver
-        # tolerance).  The LP's own feasibility slack is ~1e-6, so the
-        # reported fraction can legitimately sit a float ulp beyond
-        # ``budget + 1e-6``; allow a little headroom on top of the slack.
-        assert plan.expected_cpu_fraction <= budget + 5e-6
+        # The plan never exceeds the budget it was given (up to rounding).
+        assert plan.expected_cpu_fraction <= budget * (1.0 + 1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(costs_st, relays_st, st.floats(min_value=0.0, max_value=2.0))
@@ -130,6 +193,45 @@ class TestLPSolverProperties:
         drain_low = solve_data_level_lp(make_profile(costs[:n], relays[:n], low)).expected_drain_fraction
         drain_high = solve_data_level_lp(make_profile(costs[:n], relays[:n], high)).expected_drain_fraction
         assert drain_high <= drain_low + 1e-6
+
+    @settings(max_examples=200, deadline=None)
+    @given(exact_tie_profiles())
+    def test_closed_form_matches_highs(self, highs, case):
+        """HiGHS is the reference: same objective, same vertex up to ties.
+
+        Where HiGHS returns another optimal vertex (a tie), the closed form
+        must return the lexicographically larger one: its tie rule.  The
+        objective is compared relative to its scale (a drain fraction of at
+        most 1): where the drain is ``1 - t`` for ``t`` near 1, HiGHS' own
+        rounding of ``t`` is a few ulps of 1, not of the drain.
+        """
+        costs, relays, budget = case
+        plan = solve_data_level_lp(per_record_profile(costs, relays, budget))
+        reference = highs_effective(highs, costs, relays, budget)
+        ours = plan.effective_load_factors
+        reference_drain = plan_drain_fraction(reference, relays)
+        assert math.isclose(
+            plan.expected_drain_fraction, reference_drain, rel_tol=1e-12, abs_tol=1e-12
+        )
+        first_difference = next(
+            (a - b for a, b in zip(ours, reference) if abs(a - b) > 1e-12), 0.0
+        )
+        assert first_difference >= 0.0, (ours, reference)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(non_negative_st(1.0), min_size=1, max_size=6),
+        st.lists(non_negative_st(2.0), min_size=1, max_size=6),
+        non_negative_st(1e3),
+    )
+    def test_solve_has_no_failure_mode_on_finite_input(self, costs, relays, budget):
+        n = min(len(costs), len(relays))
+        plan = solve_data_level_lp(make_profile(costs[:n], relays[:n], budget))
+        assert plan.solver in ("lp", "zero")
+        effective = plan.effective_load_factors
+        assert all(0.0 <= e <= 1.0 for e in effective)
+        assert all(effective[i] >= effective[i + 1] for i in range(n - 1))
+        assert plan.expected_cpu_fraction <= budget * (1.0 + 1e-12)
 
     @given(relays_st)
     def test_cumulative_relay_is_non_increasing(self, relays):
