@@ -101,7 +101,6 @@ from .analysis.experiments import (
     convergence_run,
     synopsis_comparison,
 )
-from .scenarios.runner import multi_query_sweep
 from .scenarios.setups import make_setup, make_strategy, run_single_source
 
 __version__ = "1.0.0"
@@ -175,6 +174,5 @@ __all__ = [
     "run_single_source",
     "throughput_sweep",
     "convergence_run",
-    "multi_query_sweep",
     "synopsis_comparison",
 ]

@@ -5,14 +5,16 @@ data" and "metrics out of the simulators", and is the only way to run the
 cluster-scale experiments:
 
 * :mod:`~repro.scenarios.spec` — frozen, validated dataclasses describing a
-  scenario (workload, fleet, tiling, migration, sweep axes, run knobs);
+  scenario (workload, fleet, tiling, migration, sweep axes, run knobs), and
+  the fields each kind reads (a field the kind does not read is an error);
 * :mod:`~repro.scenarios.loader` — TOML/dict loading with strict unknown-key
   checking and ``--set section.key=value`` overrides;
 * :mod:`~repro.scenarios.setups` — query setups, strategy factories, and
   fleet construction shared by every run;
-* :mod:`~repro.scenarios.runner` — the run primitives plus the
-  :class:`~repro.scenarios.runner.ScenarioRunner` that expands a spec's sweep
-  into runs and renders tables/reports;
+* :mod:`~repro.scenarios.runner` — one table entry per scenario kind (run,
+  tabulate, payload) and the
+  :class:`~repro.scenarios.runner.ScenarioRunner` that runs a spec through
+  its kind's entry and renders tables/reports;
 * :mod:`~repro.scenarios.cli` — ``python -m repro.scenarios CONFIG --set
   ...``.
 

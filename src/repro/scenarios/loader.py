@@ -9,11 +9,12 @@ The on-disk shape mirrors the spec dataclasses section by section::
     [fleet]               # sources, strategy, budget, cores, sp_compute_share
     [tiling]              # blocks, placement, sp_capacity_multiple, ...
     [migration]           # policy, saturation_pressure, ...
-    [sweep]               # sources, blocks, queries, budgets, strategies
+    [sweep]               # sources, blocks, queries, strategies
 
 Unknown keys are rejected with the full dotted path so a typo in a config
-file fails at load time, and every numeric knob flows through the spec
-dataclasses' ``require_finite`` validation.  Command-line style overrides
+file fails at load time, as is a key the scenario's ``kind`` does not read
+(:data:`~repro.scenarios.spec.KIND_FIELDS`), and every numeric knob flows
+through the spec dataclasses' ``require_finite`` validation.  Command-line style overrides
 (``--set fleet.sources=16``) are applied to the raw dict before validation,
 so an override is checked exactly like a file value.
 """
@@ -73,7 +74,7 @@ _SECTION_KEYS: Dict[str, Tuple[str, ...]] = {
         "hot_epochs",
         "cooldown_epochs",
     ),
-    "sweep": ("sources", "blocks", "queries", "budgets", "strategies"),
+    "sweep": ("sources", "blocks", "queries", "strategies"),
 }
 
 
@@ -144,16 +145,6 @@ def _as_int_tuple(section: str, key: str, value: Any) -> Tuple[int, ...]:
         return tuple(_as_int(section, key, item) for item in value)
     raise ConfigurationError(
         f"{section}.{key} must be an integer or list of integers, got {value!r}"
-    )
-
-
-def _as_float_tuple(section: str, key: str, value: Any) -> Tuple[float, ...]:
-    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
-        return (_as_float(section, key, value),)
-    if isinstance(value, Sequence) and not isinstance(value, (str, bytes)):
-        return tuple(_as_float(section, key, item) for item in value)
-    raise ConfigurationError(
-        f"{section}.{key} must be a number or list of numbers, got {value!r}"
     )
 
 
@@ -324,10 +315,6 @@ def spec_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
         sweep_kwargs["blocks"] = _as_int_tuple("sweep", "blocks", sweep_raw["blocks"])
     if "queries" in sweep_raw:
         sweep_kwargs["queries"] = _as_int_tuple("sweep", "queries", sweep_raw["queries"])
-    if "budgets" in sweep_raw:
-        sweep_kwargs["budgets"] = _as_float_tuple(
-            "sweep", "budgets", sweep_raw["budgets"]
-        )
     if "strategies" in sweep_raw:
         sweep_kwargs["strategies"] = _as_str_tuple(
             "sweep", "strategies", sweep_raw["strategies"]

@@ -1,4 +1,4 @@
-"""Query setups, strategies, and run primitives shared by every scenario.
+"""Query setups, strategies, and the single-source run shared by every scenario.
 
 This module holds the setup-level layer the scenario runner executes specs
 against: :func:`make_setup` builds a :class:`QuerySetup` for one of the
@@ -43,7 +43,11 @@ from ..query.records import IpToTorTable, half_up, record_size_bytes
 from ..simulation.cost_model import CostModel
 from ..simulation.executor import BuildingBlockExecutor, ExecutorConfig
 from ..simulation.metrics import RunMetrics
-from ..simulation.multisource import MultiSourceConfig, homogeneous_sources
+from ..simulation.multisource import (
+    MultiSourceConfig,
+    SourceSpec,
+    homogeneous_sources,
+)
 from ..simulation.node import BudgetSchedule, StreamProcessorNode, as_budget_schedule
 from ..workloads.dynamics import BurstSpec, WorkloadBurst
 from ..workloads.loganalytics import (
@@ -375,13 +379,13 @@ def _homogeneous_fleet(
     strategy_name: str,
     budget: "float | BudgetSchedule",
     num_sources: int,
-    stream_processor: Optional[StreamProcessorNode],
+    stream_processor: StreamProcessorNode,
     sp_compute_share: float,
     warmup_epochs: int,
     seed: int,
-    record_mode: str = "object",
-):
-    """Specs + block config shared by the single-block and sharded runners.
+    record_mode: str,
+) -> Tuple[List[SourceSpec], MultiSourceConfig, float]:
+    """Source specs + block config of one homogeneous fleet.
 
     Every source gets its own workload (seeded ``seed + index``) and its own
     strategy instance (decentralized runtimes, Section IV-A).  Returns
@@ -389,7 +393,6 @@ def _homogeneous_fleet(
     """
     schedule = as_budget_schedule(budget)
     initial_budget = schedule.budget_at(0)
-    sp_node = stream_processor or _cluster_sp_node(setup.records_per_epoch)
     specs = homogeneous_sources(
         num_sources,
         workload_factory=lambda index: setup.workload_factory(seed + index),
@@ -400,7 +403,7 @@ def _homogeneous_fleet(
     )
     cluster_config = MultiSourceConfig(
         config=setup.config,
-        stream_processor=sp_node,
+        stream_processor=stream_processor,
         sp_compute_share=sp_compute_share,
         warmup_epochs=warmup_epochs,
         record_mode=record_mode,

@@ -18,21 +18,79 @@ accounting mid-run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Mapping, Optional, Tuple, Union
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from typing import Dict, FrozenSet, Iterator, Mapping, Optional, Tuple, Union
 
 from ..errors import ConfigurationError, require_finite
 from ..simulation.node import BudgetSchedule, as_budget_schedule
 
-#: Executor families a scenario can target.
-SCENARIO_KINDS = (
-    "scaling",
-    "sharded",
-    "dynamic_replacement",
-    "colocated",
-    "record_modes",
-    "parallel",
+_RUN = ("epochs", "warmup_epochs", "seed")
+_WORKLOAD = ("workload.query", "workload.records_per_epoch", "workload.rate_scale")
+#: What the runner's shared fleet builder reads for every fleet kind.
+_FLEET = _RUN + _WORKLOAD + (
+    "fleet.sources",
+    "fleet.budget",
+    "fleet.sp_compute_share",
+    "tiling.sp_cores",
+    "tiling.sp_capacity_multiple",
+    "sweep.strategies",
 )
+_TILED = (
+    "tiling.blocks",
+    "tiling.placement",
+    "tiling.placement_map",
+    "tiling.workers",
+)
+
+#: Executor families a scenario can target, each with the spec fields its
+#: runs read (over all of its modes).  A field outside that set must keep
+#: its default: ``ScenarioSpec`` rejects it rather than let the kind drop
+#: it silently.  ``name``, ``kind`` and ``enabled`` apply to every kind.
+#: The hotspot and Figure 11 models are S2SProbe's, so those two kinds do
+#: not read ``workload.query``.
+KIND_FIELDS: Mapping[str, FrozenSet[str]] = {
+    "scaling": frozenset(
+        _FLEET + ("mode", "record_mode", "sweep.sources", "max_sources_limit")
+    ),
+    "sharded": frozenset(_FLEET + _TILED + ("record_mode", "sweep.blocks")),
+    "dynamic_replacement": frozenset(
+        _RUN
+        + (
+            "record_mode",
+            "workload.records_per_epoch",
+            "workload.rate_scale",
+            "workload.hotspot",
+            "fleet.sources",
+            "fleet.strategy",
+            "fleet.budget",
+            "tiling.blocks",
+            "tiling.ingress_headroom",
+            "migration",
+        )
+    ),
+    "colocated": frozenset(
+        _RUN
+        + (
+            "mode",
+            "record_mode",
+            "workload.records_per_epoch",
+            "workload.rate_scale",
+            "fleet.cores",
+            "sweep.queries",
+            "per_query_demand",
+        )
+    ),
+    "record_modes": frozenset(
+        _FLEET + ("record_modes", "min_speedup", "arena_min_speedup")
+    ),
+    "parallel": frozenset(
+        _FLEET + _TILED + ("record_mode", "parallel_min_speedup")
+    ),
+}
+
+SCENARIO_KINDS = tuple(KIND_FIELDS)
+
+_ANY_KIND = ("name", "kind", "enabled")
 
 #: Evaluation modes for the kinds that have an analytic cross-check.
 SCENARIO_MODES = ("analytic", "simulated", "comparison")
@@ -205,15 +263,14 @@ class MigrationSpec:
 class SweepSpec:
     """Declared sweep axes; empty axes fall back to the fleet's fixed value.
 
-    The runner expands whichever axes the scenario ``kind`` supports:
-    ``sources`` (scaling), ``blocks`` (sharded), ``queries`` (colocated),
-    ``budgets`` (any cluster kind), and ``strategies`` (all kinds).
+    Each axis belongs to the kinds that expand it: ``sources`` (scaling),
+    ``blocks`` (sharded), ``queries`` (colocated), and ``strategies`` (the
+    fleet kinds: scaling, sharded, record_modes, parallel).
     """
 
     sources: Tuple[int, ...] = ()
     blocks: Tuple[int, ...] = ()
     queries: Tuple[int, ...] = ()
-    budgets: Tuple[float, ...] = ()
     strategies: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -227,8 +284,6 @@ class SweepSpec:
                     raise ConfigurationError(
                         f"sweep.{axis} values must be >= 1, got {value!r}"
                     )
-        for value in self.budgets:
-            require_finite("sweep.budgets", float(value), non_negative=True)
 
 
 @dataclass(frozen=True)
@@ -291,6 +346,12 @@ class ScenarioSpec:
                 f"unknown record_mode {self.record_mode!r}; expected one of "
                 f"{RECORD_MODES}"
             )
+        for name, default in _changed_fields(self):
+            if name not in KIND_FIELDS[self.kind]:
+                raise ConfigurationError(
+                    f"scenario kind {self.kind!r} does not read {name}; drop "
+                    f"it or leave it at its default {default!r}"
+                )
         if self.epochs < 1:
             raise ConfigurationError(f"epochs must be >= 1, got {self.epochs!r}")
         if self.warmup_epochs is not None and not (
@@ -339,10 +400,31 @@ class ScenarioSpec:
             raise ConfigurationError(
                 f"max_sources_limit must be >= 0, got {self.max_sources_limit!r}"
             )
-        if self.kind == "dynamic_replacement" and self.workload.hotspot is None:
+        if self.kind == "dynamic_replacement":
+            self._check_dynamic()
+
+    def _check_dynamic(self) -> None:
+        hotspot = self.workload.hotspot
+        if hotspot is None:
             raise ConfigurationError(
                 "dynamic_replacement scenarios need a [workload.hotspot] "
                 "section (shift_epoch, factor)"
+            )
+        blocks = self.tiling.blocks
+        if blocks < 2:
+            raise ConfigurationError(
+                f"dynamic_replacement needs tiling.blocks >= 2 to re-place "
+                f"sources, got {blocks!r}"
+            )
+        if self.fleet.sources < blocks:
+            raise ConfigurationError(
+                f"dynamic_replacement needs >= 1 source per block, got "
+                f"{self.fleet.sources!r} sources for {blocks!r} blocks"
+            )
+        if hotspot.shift_epoch >= self.epochs:
+            raise ConfigurationError(
+                f"hotspot shift_epoch must fall inside the run, got "
+                f"{hotspot.shift_epoch!r} of {self.epochs!r} epochs"
             )
 
     def resolved_warmup(self) -> int:
@@ -364,3 +446,22 @@ class ScenarioSpec:
     def with_overrides(self, **changes: object) -> "ScenarioSpec":
         """A copy with top-level fields replaced (revalidates)."""
         return replace(self, **changes)  # type: ignore[arg-type]
+
+
+def _changed_fields(spec: ScenarioSpec) -> Iterator[Tuple[str, object]]:
+    """``(dotted name, default)`` of every field ``spec`` sets away from its
+    default; a section dataclass is compared field by field."""
+    for top in fields(spec):
+        if top.name in _ANY_KIND:
+            continue
+        value = getattr(spec, top.name)
+        default = (
+            top.default_factory() if top.default_factory is not MISSING else top.default
+        )
+        if is_dataclass(default):
+            for sub in fields(default):
+                sub_default = getattr(default, sub.name)
+                if getattr(value, sub.name) != sub_default:
+                    yield f"{top.name}.{sub.name}", sub_default
+        elif value != default:
+            yield top.name, default

@@ -1,9 +1,10 @@
 """Every example script imports cleanly.
 
-No test runs the examples end to end (each takes seconds to minutes), so a
-moved or deleted name would otherwise break them silently.  Each example
-guards its work behind ``if __name__ == "__main__"``, so importing one only
-resolves its imports and definitions.
+Importing catches a moved or deleted name in a second, without running the
+examples (the CI ``scenario-harness`` job runs each one end to end: all six
+take about 15 s on a 2-vCPU host).  Each example guards its work behind
+``if __name__ == "__main__"``, so importing one only resolves its imports
+and definitions.
 """
 
 from __future__ import annotations

@@ -29,7 +29,6 @@ from repro.scenarios import (
     SweepSpec,
     WorkloadSpec,
 )
-from repro.scenarios.runner import multi_query_sweep
 from repro.scenarios.setups import make_setup
 from repro.simulation.node import BudgetSchedule
 
@@ -171,14 +170,21 @@ class TestFigure10:
 
 class TestFigure11:
     def test_multi_query_saturates_with_core_count(self):
-        one_core = multi_query_sweep(
-            rate_scale=1.0, cores=1, query_counts=(1, 2, 4),
-            records_per_epoch=RPE, num_epochs=25, warmup_epochs=10,
-        )
-        two_cores = multi_query_sweep(
-            rate_scale=1.0, cores=2, query_counts=(1, 2, 4),
-            records_per_epoch=RPE, num_epochs=25, warmup_epochs=10,
-        )
+        def sweep(cores):
+            spec = ScenarioSpec(
+                name="fig11-cores",
+                kind="colocated",
+                mode="analytic",
+                workload=WorkloadSpec(records_per_epoch=RPE, rate_scale=1.0),
+                fleet=FleetSpec(cores=cores),
+                sweep=SweepSpec(queries=(1, 2, 4)),
+                epochs=25,
+                warmup_epochs=10,
+            )
+            return ScenarioRunner().run(spec).raw
+
+        one_core = sweep(1)
+        two_cores = sweep(2)
         # Aggregate throughput is monotone in the query count until saturation,
         # and two cores support strictly more aggregate throughput at 4 queries.
         assert one_core[1]["aggregate_throughput_mbps"] >= one_core[0]["aggregate_throughput_mbps"]

@@ -21,9 +21,20 @@ from hypothesis import given, settings, strategies as st
 from repro.baselines import AllSPStrategy
 from repro.errors import SimulationError
 from repro.query.records import FleetArena
+from repro.scenarios import (
+    FleetSpec,
+    ScenarioRunner,
+    ScenarioSpec,
+    SweepSpec,
+    TilingSpec,
+    WorkloadSpec,
+)
 from repro.scenarios.loader import spec_from_dict
-from repro.scenarios.runner import run_sharded
-from repro.scenarios.setups import make_setup, make_strategy
+from repro.scenarios.setups import (
+    CLUSTER_CAPACITY_INPUT_MULTIPLE,
+    make_setup,
+    make_strategy,
+)
 from repro.simulation.multisource import MultiSourceConfig, homogeneous_sources
 from repro.simulation.node import StreamProcessorNode
 from repro.simulation.parallel import (
@@ -651,13 +662,25 @@ class TestMigrationStateTransport:
 
 
 class TestRunnerPlumbing:
-    def test_run_sharded_workers_knob_is_bit_identical(self, setup):
+    def test_run_sharded_workers_knob_is_bit_identical(self):
         def run(workers):
-            return run_sharded(
-                setup, "Jarvis", 0.55, num_sources=6, num_blocks=3,
-                num_epochs=5, warmup_epochs=1, seed=1, record_mode="arena",
-                workers=workers,
+            spec = ScenarioSpec(
+                name="workers-knob",
+                kind="sharded",
+                workload=WorkloadSpec(records_per_epoch=120),
+                fleet=FleetSpec(sources=6, budget=0.55),
+                tiling=TilingSpec(
+                    blocks=3,
+                    workers=workers,
+                    sp_capacity_multiple=CLUSTER_CAPACITY_INPUT_MULTIPLE,
+                ),
+                sweep=SweepSpec(strategies=("Jarvis",)),
+                epochs=5,
+                warmup_epochs=1,
+                seed=1,
+                record_mode="arena",
             )
+            return ScenarioRunner().run(spec).raw["Jarvis"][0]
 
         serial_metrics = run(1)
         parallel_metrics = run(2)

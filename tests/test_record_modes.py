@@ -46,9 +46,20 @@ from repro.query.records import (
     RecordRowView,
     record_size_bytes,
 )
-from repro.scenarios import ScenarioRunner, ScenarioSpec, SweepSpec, WorkloadSpec
-from repro.scenarios.runner import run_multi_query, run_multi_source, run_sharded
-from repro.scenarios.setups import make_setup, make_strategy
+from repro.scenarios import (
+    FleetSpec,
+    ScenarioRunner,
+    ScenarioSpec,
+    SweepSpec,
+    TilingSpec,
+    WorkloadSpec,
+)
+from repro.scenarios.runner import _colocated_block
+from repro.scenarios.setups import (
+    CLUSTER_CAPACITY_INPUT_MULTIPLE,
+    make_setup,
+    make_strategy,
+)
 from repro.simulation.engine import EpochEngine, RECORD_MODES, validate_record_mode
 from repro.simulation.executor import BuildingBlockExecutor, ExecutorConfig
 from repro.simulation.multiquery import CoLocatedBlockExecutor, QuerySpec
@@ -184,18 +195,20 @@ class TestMultiSourceEquivalence:
     """Fig. 10 configurations: the fast modes must equal object bit-for-bit."""
 
     @pytest.mark.parametrize("strategy_name", ["Jarvis", "Best-OP"])
-    def test_fig10_multi_source_bit_exact(self, setup, strategy_name):
+    def test_fig10_multi_source_bit_exact(self, strategy_name):
         runs = {}
         for mode in RECORD_MODES:
-            runs[mode] = run_multi_source(
-                setup,
-                strategy_name,
-                0.55,
-                num_sources=6,
-                num_epochs=14,  # crosses a 10-epoch window boundary
+            spec = ScenarioSpec(
+                name="fig10-multi-source",
+                kind="scaling",
+                workload=WorkloadSpec(records_per_epoch=120),
+                fleet=FleetSpec(budget=0.55),
+                sweep=SweepSpec(sources=(6,), strategies=(strategy_name,)),
+                epochs=14,  # crosses a 10-epoch window boundary
                 warmup_epochs=4,
                 record_mode=mode,
             )
+            runs[mode] = ScenarioRunner().run(spec).raw[strategy_name][0]
         obj = runs["object"]
         for mode in ("batched", "arena"):
             fast = runs[mode]
@@ -223,20 +236,23 @@ class TestMultiSourceEquivalence:
             executor.run_epoch()
         assert executor.verify_record_conservation() == []
 
-    def test_sharded_fig10_bit_exact(self, setup):
-        runs = {
-            mode: run_sharded(
-                setup,
-                "Jarvis",
-                0.55,
-                num_sources=6,
-                num_blocks=2,
-                num_epochs=12,
+    def test_sharded_fig10_bit_exact(self):
+        runs = {}
+        for mode in RECORD_MODES:
+            spec = ScenarioSpec(
+                name="fig10-sharded",
+                kind="sharded",
+                workload=WorkloadSpec(records_per_epoch=120),
+                fleet=FleetSpec(sources=6, budget=0.55),
+                tiling=TilingSpec(
+                    blocks=2, sp_capacity_multiple=CLUSTER_CAPACITY_INPUT_MULTIPLE
+                ),
+                sweep=SweepSpec(strategies=("Jarvis",)),
+                epochs=12,
                 warmup_epochs=4,
                 record_mode=mode,
             )
-            for mode in RECORD_MODES
-        }
+            runs[mode] = ScenarioRunner().run(spec).raw["Jarvis"][0]
         obj = runs["object"]
         for mode in ("batched", "arena"):
             fast = runs[mode]
@@ -313,18 +329,19 @@ class TestColocatedEquivalence:
     """Fig. 11 configuration: the co-located sweep must be mode-agnostic."""
 
     def test_fig11_colocated_bit_exact(self, setup):
-        runs = {
-            mode: run_multi_query(
-                setup,
-                num_queries=3,
-                per_query_budget=0.4,
-                load_factors=[1.0, 1.0, 0.6],
-                num_epochs=12,
+        runs = {}
+        for mode in RECORD_MODES:
+            spec = ScenarioSpec(
+                name="fig11-colocated",
+                kind="colocated",
+                workload=WorkloadSpec(records_per_epoch=120),
+                epochs=12,
                 warmup_epochs=4,
                 record_mode=mode,
             )
-            for mode in RECORD_MODES
-        }
+            runs[mode] = _colocated_block(
+                spec, setup, count=3, budget=0.4, load_factors=[1.0, 1.0, 0.6]
+            )
         obj = runs["object"]
         for mode in ("batched", "arena"):
             fast = runs[mode]

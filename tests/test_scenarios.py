@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -47,7 +48,8 @@ from repro.scenarios import (
     spec_from_dict,
 )
 from repro.scenarios import loader as scenario_loader
-from repro.scenarios.runner import multi_query_sweep
+from repro.scenarios.runner import KINDS
+from repro.scenarios.spec import SCENARIO_KINDS
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -112,8 +114,6 @@ class TestSpecValidation:
     def test_sweep_axes_positive(self):
         with pytest.raises(ConfigurationError):
             SweepSpec(sources=(1, 0))
-        with pytest.raises(ConfigurationError):
-            SweepSpec(budgets=(0.5, float("inf")))
 
     def test_static_placement_needs_map(self):
         with pytest.raises(ConfigurationError, match="placement_map"):
@@ -138,6 +138,7 @@ class TestSpecValidation:
             name="s",
             kind="dynamic_replacement",
             workload=WorkloadSpec(hotspot=HotspotSpec(shift_epoch=7)),
+            tiling=TilingSpec(blocks=2),
             epochs=30,
         )
         assert dynamic.resolved_warmup() == 7  # the hotspot's shift epoch
@@ -188,6 +189,93 @@ class TestSpecValidation:
         assert spec.with_overrides(epochs=9).epochs == 9
         with pytest.raises(ConfigurationError):
             spec.with_overrides(epochs=0)
+
+
+# ---------------------------------------------------------------------------
+# Spec fields a kind does not read.
+# ---------------------------------------------------------------------------
+
+#: The smallest valid config of each kind.
+_MINIMAL = {
+    "scaling": {},
+    "sharded": {},
+    "dynamic_replacement": {
+        "workload": {"hotspot": {"shift_epoch": 4}},
+        "tiling": {"blocks": 2},
+    },
+    "colocated": {},
+    "record_modes": {},
+    "parallel": {"tiling": {"blocks": 2, "workers": 2}},
+}
+
+
+def _minimal(kind):
+    return {"scenario": {"name": "x", "kind": kind}, **_MINIMAL[kind]}
+
+
+class TestKindFields:
+    def test_runner_table_covers_every_kind(self):
+        assert tuple(KINDS) == SCENARIO_KINDS
+
+    @pytest.mark.parametrize("kind", SCENARIO_KINDS)
+    def test_sweep_budgets_is_an_unknown_key(self, kind):
+        with pytest.raises(ConfigurationError, match=r"unknown key sweep\.'budgets'"):
+            load_scenario(_minimal(kind), overrides=["sweep.budgets=0.3,0.6"])
+
+    @pytest.mark.parametrize(
+        "kind, override, name",
+        [
+            ("scaling", "fleet.strategy=All-SP", "fleet.strategy"),
+            ("sharded", "migration.policy=never", "migration"),
+            ("sharded", "workload.hotspot.shift_epoch=3", "workload.hotspot"),
+            ("colocated", "workload.query=t2t_probe", "workload.query"),
+            ("colocated", "fleet.budget=0.3", "fleet.budget"),
+            ("dynamic_replacement", "workload.query=t2t_probe", "workload.query"),
+            ("dynamic_replacement", "tiling.sp_cores=8", "tiling.sp_cores"),
+            ("record_modes", "run.record_mode=arena", "record_mode"),
+            ("record_modes", "tiling.blocks=2", "tiling.blocks"),
+            ("parallel", "scenario.mode=analytic", "mode"),
+        ],
+    )
+    def test_field_the_kind_does_not_read_is_rejected(self, kind, override, name):
+        message = f"kind {kind!r} does not read {name};"
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            load_scenario(_minimal(kind), overrides=[override])
+
+    @pytest.mark.parametrize(
+        "kind, sections",
+        [
+            ("scaling", {"sweep": {"sources": [2]}}),
+            ("sharded", {"fleet": {"sources": 4}, "tiling": {"blocks": 2}}),
+        ],
+    )
+    def test_sp_compute_share_is_honoured(self, kind, sections):
+        def best_op_run(share):
+            data = {
+                **_minimal(kind),
+                **sections,
+                "run": {"epochs": 6, "warmup_epochs": 1},
+                "workload": {"records_per_epoch": 60},
+                "sweep": {**sections.get("sweep", {}), "strategies": ["Best-OP"]},
+            }
+            spec = load_scenario(data, overrides=[f"fleet.sp_compute_share={share}"])
+            return ScenarioRunner().run(spec).raw["Best-OP"][0]
+
+        full, starved = best_op_run(1.0), best_op_run(0.001)
+        assert starved.aggregate_throughput_mbps() < full.aggregate_throughput_mbps()
+        assert starved.median_latency_s() > full.median_latency_s()
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (["tiling.blocks=1"], "tiling.blocks >= 2"),
+            (["tiling.blocks=4", "fleet.sources=3"], "3 sources for 4 blocks"),
+            (["run.epochs=4"], "shift_epoch must fall inside the run"),
+        ],
+    )
+    def test_dynamic_replacement_checks_run_at_load(self, overrides, message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            load_scenario(_minimal("dynamic_replacement"), overrides=overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -485,17 +573,6 @@ class TestGoldenEquivalence:
             }
         )
         assert ScenarioRunner().run(spec).raw == golden["multi_query_sweep"]
-        assert (
-            multi_query_sweep(
-                rate_scale=1.0,
-                cores=1,
-                query_counts=(1, 2),
-                records_per_epoch=100,
-                num_epochs=8,
-                warmup_epochs=2,
-            )
-            == golden["multi_query_sweep"]
-        )
 
     def test_colocated_comparison(self, golden):
         spec = load_scenario(
@@ -754,6 +831,21 @@ class TestCli:
         assert len(lines) == 1, captured.err
         assert "error:" in lines[0] and message in lines[0]
         assert "Traceback" not in captured.err
+
+    def test_cli_rejects_a_dynamic_config_with_one_block(self, tmp_path, capsys):
+        from repro.scenarios.cli import main
+
+        config = tmp_path / "dynamic.toml"
+        config.write_text(
+            "[scenario]\n"
+            'name = "dynamic"\n'
+            'kind = "dynamic_replacement"\n'
+            "[workload.hotspot]\n"
+            "shift_epoch = 4\n"
+        )
+        code = main([str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "tiling.blocks >= 2" in capsys.readouterr().err
 
     def test_cli_reports_missing_file_without_traceback(self, tmp_path, capsys):
         from repro.scenarios.cli import main
