@@ -21,7 +21,9 @@ from typing import Optional
 
 from .errors import ConfigurationError, require_finite
 
-#: Bytes in one Pingmesh probe record (Section II-B of the paper).
+#: Wire size of a single Pingmesh probe record, from Section II-B:
+#: timestamp (8B) + src IP (4B) + src cluster (4B) + dst IP (4B) +
+#: dst cluster (4B) + RTT us (4B) + error code (4B) + framing = 86B total.
 PINGMESH_RECORD_BYTES = 86
 
 #: Paper-reported per-node data generation rates in Mbps (before 10x scaling).

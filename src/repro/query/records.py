@@ -32,6 +32,7 @@ from typing import (
 
 import numpy as np
 
+from ..config import PINGMESH_RECORD_BYTES
 from ..errors import ConfigurationError, SimulationError
 
 
@@ -66,11 +67,6 @@ def _column_list(column: ColumnData) -> List[Any]:
     if isinstance(column, np.ndarray):
         return column.tolist()
     return column
-
-#: Wire size of a single Pingmesh probe record, from Section II-B:
-#: timestamp (8B) + src IP (4B) + src cluster (4B) + dst IP (4B) +
-#: dst cluster (4B) + RTT us (4B) + error code (4B) + framing = 86B total.
-PINGMESH_RECORD_BYTES = 86
 
 #: Wire size of a ToR-enriched probe after the join's projection: the
 #: (srcToR, dstToR, rtt) triple plus the timestamp.

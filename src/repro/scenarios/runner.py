@@ -1085,11 +1085,16 @@ def _run_parallel(spec: ScenarioSpec) -> Dict[str, Dict[str, Any]]:
         # constructed fleet: the executor the pool must reproduce bit for bit.
         parallel, parallel_s = fleet.run(strategy, sources, blocks, spec.tiling.workers)
         serial, serial_s = fleet.run(strategy, sources, blocks)
+        if not _cluster_metrics_identical(serial, parallel):
+            raise SimulationError(
+                f"{strategy}: the {spec.tiling.workers}-worker pool run "
+                "diverged from the serial lockstep run"
+            )
         raw[strategy] = {
             "serial_wall_s": serial_s,
             "parallel_wall_s": parallel_s,
             "speedup": serial_s / parallel_s if parallel_s > 0 else float("inf"),
-            "identical": _cluster_metrics_identical(serial, parallel),
+            "identical": True,
             "serial_goodput_mbps": serial.aggregate_throughput_mbps(),
             "parallel_goodput_mbps": parallel.aggregate_throughput_mbps(),
         }

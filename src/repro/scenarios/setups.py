@@ -58,6 +58,7 @@ from ..workloads.loganalytics import (
 from ..workloads.pingmesh import (
     PingmeshConfig,
     PingmeshWorkload,
+    pingmesh_rate_mbps,
     s2s_cost_model,
     t2t_cost_model,
 )
@@ -364,10 +365,11 @@ def _cluster_sp_node(
     the SP's physical ingress, which does not shrink with the input setting.
     ``capacity_multiple`` overrides the calibrated multiple — the sharded
     sweep uses a smaller one so a CI-sized fleet saturates a single block.
+    The 10x input rate is the ``s2s_probe`` setup's at ``records_per_epoch``
+    (``make_setup`` floors the record count at one), computed without
+    building that setup.
     """
-    input_at_10x = make_setup(
-        "s2s_probe", records_per_epoch=records_per_epoch
-    ).input_rate_mbps
+    input_at_10x = pingmesh_rate_mbps(max(1, records_per_epoch))
     return StreamProcessorNode(
         cores=sp_cores,
         ingress_bandwidth_mbps=capacity_multiple * input_at_10x,

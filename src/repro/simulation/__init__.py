@@ -31,12 +31,14 @@ thin executors**:
     hierarchically (weighted max-min across queries, max-min across each
     query's sources) and SP compute split by ``sp_compute_share``
     (Figure 11 at cluster scale);
-  - :class:`ShardedClusterExecutor` / :class:`ShardedCoLocatedExecutor` —
-    fleets tiled across K building blocks by a :class:`PlacementPolicy`
+  - :class:`ShardedClusterExecutor` — a fleet tiled across K
+    :class:`MultiSourceExecutor` blocks by a :class:`PlacementPolicy`
     (Figure 4b), with optional per-block :class:`StreamProcessorNode`
     overrides for heterogeneous deployments and capacity-aware byte-rate
-    placement.  Blocks without sources are legitimate idle blocks (they step
-    zero-byte epochs with their capacity still counted).
+    placement.  Its one run path steps every block in lockstep each epoch.
+    Blocks without sources are legitimate idle blocks (they step zero-byte
+    epochs with their capacity still counted).  Co-located queries are not
+    tiled: Figure 11 runs them on one :class:`CoLocatedBlockExecutor`.
 
 **Dynamic re-placement** reacts to measured load instead of freezing the
 placement at construction: a :class:`MigrationPolicy` (the bundled
@@ -51,9 +53,10 @@ SP backlog items, withdrawing its queued bytes from the old block's
 :class:`SharedLink` and re-offering them on the new one.  Record
 conservation and per-source metric timelines stay continuous across every
 move (property-tested over random migration schedules in every record
-mode), runs record migration events and per-epoch placement snapshots in
-their metadata, and a run without a policy is bit-identical to the frozen
-placement (test-enforced).
+mode), and runs record migration events and per-epoch placement snapshots in
+their metadata.  The policy runs inside the same lockstep loop as a static
+run, so a run without a policy (or with one that never moves) is
+bit-identical to running each block on its own (test-enforced).
 
 Every executor runs in one of three **record modes** (the ``record_mode``
 knob on :class:`ExecutorConfig` / :class:`MultiSourceConfig`): ``"object"``
@@ -209,7 +212,6 @@ from .sharding import (
     RoundRobinPlacement,
     SaturationMigrationPolicy,
     ShardedClusterExecutor,
-    ShardedCoLocatedExecutor,
     StaticPlacement,
     make_placement,
 )
@@ -265,5 +267,4 @@ __all__ = [
     "NeverMigrate",
     "SaturationMigrationPolicy",
     "ShardedClusterExecutor",
-    "ShardedCoLocatedExecutor",
 ]

@@ -284,45 +284,6 @@ class ClusterMetrics:
     def record_cluster_epoch(self, metrics: ClusterEpochMetrics) -> None:
         self.cluster_epochs.append(metrics)
 
-    @classmethod
-    def merged(
-        cls,
-        blocks: Sequence["ClusterMetrics"],
-        metadata: Optional[Dict[str, object]] = None,
-    ) -> "ClusterMetrics":
-        """Fleet-wide metrics from per-block runs of a sharded deployment.
-
-        Per-source timelines are carried over unchanged (source names must be
-        disjoint across blocks), and the shared-resource epoch measurements
-        are summed index-wise via :meth:`ClusterEpochMetrics.merge`, so every
-        block must have run the same number of epochs with the same epoch
-        duration and warm-up.
-        """
-        if not blocks:
-            raise SimulationError("cannot merge an empty set of cluster metrics")
-        for attr in ("epoch_duration_s", "warmup_epochs"):
-            values = {getattr(block, attr) for block in blocks}
-            if len(values) != 1:
-                raise SimulationError(
-                    f"cannot merge blocks with differing {attr}: {sorted(values)}"
-                )
-        lengths = {len(block.cluster_epochs) for block in blocks}
-        if len(lengths) != 1:
-            raise SimulationError(
-                f"cannot merge blocks with differing epoch counts: {sorted(lengths)}"
-            )
-        fleet = cls(
-            epoch_duration_s=blocks[0].epoch_duration_s,
-            warmup_epochs=blocks[0].warmup_epochs,
-            metadata=dict(metadata or {}),
-        )
-        for block in blocks:
-            for name, run_metrics in block.per_source.items():
-                fleet.register_source(name, run_metrics)
-        for parts in zip(*(block.cluster_epochs for block in blocks)):
-            fleet.record_cluster_epoch(ClusterEpochMetrics.merge(parts))
-        return fleet
-
     # -- selection -------------------------------------------------------------
 
     @property
@@ -482,42 +443,6 @@ class MultiQueryMetrics:
         if name in self.per_query:
             raise SimulationError(f"query {name!r} already registered")
         self.per_query[name] = metrics
-
-    @classmethod
-    def merged(
-        cls,
-        parts: Sequence["MultiQueryMetrics"],
-        metadata: Optional[Dict[str, object]] = None,
-    ) -> "MultiQueryMetrics":
-        """Fleet-wide view from per-block runs of a sharded co-located fleet.
-
-        Each part holds one block's co-located queries; a query hosted on
-        several blocks has its per-block :class:`ClusterMetrics` merged via
-        :meth:`ClusterMetrics.merged` (source names must be disjoint across
-        the blocks hosting it), so every query ends up with exactly one
-        fleet-wide entry.
-        """
-        if not parts:
-            raise SimulationError("cannot merge an empty set of multi-query metrics")
-        for attr in ("epoch_duration_s", "warmup_epochs"):
-            values = {getattr(part, attr) for part in parts}
-            if len(values) != 1:
-                raise SimulationError(
-                    f"cannot merge parts with differing {attr}: {sorted(values)}"
-                )
-        by_query: Dict[str, List[ClusterMetrics]] = {}
-        for part in parts:
-            for name, metrics in part.per_query.items():
-                by_query.setdefault(name, []).append(metrics)
-        fleet = cls(
-            epoch_duration_s=parts[0].epoch_duration_s,
-            warmup_epochs=parts[0].warmup_epochs,
-            metadata=dict(metadata or {}),
-        )
-        for name, blocks in by_query.items():
-            merged = blocks[0] if len(blocks) == 1 else ClusterMetrics.merged(blocks)
-            fleet.register_query(name, merged)
-        return fleet
 
     # -- selection -------------------------------------------------------------
 

@@ -32,11 +32,16 @@ A single co-located query with ``sp_compute_share=1.0`` reproduces a
 standalone ``MultiSourceExecutor`` *exactly* (test-enforced): the tier-1
 grant degenerates to the full link capacity, the compute split to the full
 cap, and every phase runs the same arithmetic in the same order.
+
+The co-located executor is always one building block, as in Figure 11.
+Tiling a fleet across blocks, with placement, live migration and the
+worker pool, is :class:`~repro.simulation.sharding.ShardedClusterExecutor`'s
+job, and it tiles single-query blocks only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..config import JarvisConfig, PINGMESH_RECORD_BYTES
@@ -152,43 +157,23 @@ class CoLocatedBlockExecutor:
         redistribute_idle_compute: bool = True,
         assumed_record_bytes: float = float(PINGMESH_RECORD_BYTES),
         record_mode: str = "object",
-        epoch_duration_s: Optional[float] = None,
     ) -> None:
-        """``epoch_duration_s`` is only needed for a block hosting zero
-        queries (an idle block of a sharded tiling wider than the fleet):
-        with no query to read the epoch length from, the tiling supplies it
-        so the idle block still steps in lockstep.  When queries are present
-        it must agree with their shared epoch duration."""
-        if not queries and epoch_duration_s is None:
-            raise SimulationError(
-                "co-located executor needs at least one query (or an explicit "
-                "epoch_duration_s for an idle block)"
-            )
+        if not queries:
+            raise SimulationError("co-located executor needs at least one query")
         names = [q.name for q in queries]
         if len(set(names)) != len(names):
             raise SimulationError(f"query names must be unique, got {names!r}")
         epoch_durations = {q.config.epoch.duration_s for q in queries}
-        if queries and len(epoch_durations) != 1:
+        if len(epoch_durations) != 1:
             raise SimulationError(
                 "co-located queries must share one epoch duration, got "
                 f"{sorted(epoch_durations)}"
-            )
-        if (
-            queries
-            and epoch_duration_s is not None
-            and epoch_duration_s != queries[0].config.epoch.duration_s
-        ):
-            raise SimulationError(
-                f"explicit epoch_duration_s {epoch_duration_s!r} disagrees with "
-                f"the queries' {queries[0].config.epoch.duration_s!r}"
             )
 
         self.queries = list(queries)
         self.warmup_epochs = warmup_epochs
         self.redistribute_idle_compute = redistribute_idle_compute
-        self.epoch_duration_s = (
-            queries[0].config.epoch.duration_s if queries else float(epoch_duration_s)
-        )
+        self.epoch_duration_s = queries[0].config.epoch.duration_s
 
         self.stream_processor = stream_processor or StreamProcessorNode()
         self.link: SharedLink = self.stream_processor.ingress_link(
@@ -447,15 +432,3 @@ def single_query(
         config=config or JarvisConfig(),
     )
 
-
-def shard_query_sources(
-    query: QuerySpec, groups: Sequence[Sequence[SourceSpec]]
-) -> List[Optional[QuerySpec]]:
-    """Per-block clones of ``query``, one per source group (None when empty).
-
-    Used by the sharded co-located executor: a query keeps its compute share
-    and ingress weight on every block that hosts a slice of its fleet.
-    """
-    return [
-        replace(query, sources=list(group)) if group else None for group in groups
-    ]

@@ -36,8 +36,10 @@ Design notes, in the order they matter:
   back to heap buffers — correctness never depends on segment capacity.
   Segments are owned (created *and* unlinked) by the main process, so a
   crashed worker cannot leak ``/dev/shm`` blocks.
-* **Migration is the only cross-block sync point.**  The inherited
-  ``run_epoch`` gathers end-of-epoch pressure signals and runs the
+* **Migration is the only cross-block sync point.**  Every run is the
+  inherited lockstep loop, so each epoch costs one dispatch and one gather
+  per worker, with or without a policy.  The inherited ``run_epoch``
+  gathers end-of-epoch pressure signals and runs the
   :class:`~repro.simulation.sharding.MigrationPolicy` on the main process;
   each move detaches in the owning worker, pickles the
   :class:`~repro.simulation.multisource.SourceMigrationState`, and attaches

@@ -18,23 +18,26 @@ single-block :class:`~repro.simulation.multisource.MultiSourceExecutor`:
    capacity — its own :class:`~repro.simulation.network.SharedLink` and its
    own compute-capped stream-processor pipeline — built from one shared
    :class:`~repro.simulation.multisource.MultiSourceConfig` template;
-3. every epoch all blocks step in lockstep; per-source metrics merge into one
-   fleet-wide view and the blocks' shared-resource measurements are summed
-   via :meth:`~repro.simulation.metrics.ClusterEpochMetrics.merge`.
+3. every epoch all blocks step in lockstep — the only run path; an optional
+   :class:`MigrationPolicy` then moves sources between blocks at the epoch
+   boundary — and per-source metrics merge into one fleet-wide view while
+   the blocks' shared-resource measurements are summed via
+   :meth:`~repro.simulation.metrics.ClusterEpochMetrics.merge`.
 
 With ``K = 1`` the sharded executor is exactly the single-block executor:
 same arithmetic, same metrics.  Past one block's saturation knee (Figure 10),
 adding blocks divides the contention, so aggregate goodput scales ~linearly
-with ``K`` until every block is unsaturated.
+with ``K`` until every block is unsaturated.  Co-located queries (Figure 11)
+share one block through
+:class:`~repro.simulation.multiquery.CoLocatedBlockExecutor`; they are not
+tiled.
 """
 
 from __future__ import annotations
 
-import inspect
 import math
 import statistics
-from dataclasses import dataclass, field, replace
-from functools import partial
+from dataclasses import dataclass, replace
 from typing import (
     Callable,
     Dict,
@@ -50,14 +53,7 @@ from typing import (
 from ..errors import SimulationError
 from ..query.physical_plan import PhysicalPlan
 from .cost_model import CostModel
-from .metrics import (
-    ClusterEpochMetrics,
-    ClusterMetrics,
-    EpochMetrics,
-    MultiQueryMetrics,
-    RunMetrics,
-)
-from .multiquery import CoLocatedBlockExecutor, QuerySpec, shard_query_sources
+from .metrics import ClusterEpochMetrics, ClusterMetrics, EpochMetrics, RunMetrics
 from .multisource import (
     MultiSourceConfig,
     MultiSourceExecutor,
@@ -98,23 +94,6 @@ def estimated_rate_mbps(spec: SourceSpec, default: float = 1.0) -> float:
     if not math.isfinite(value) or value < 0:
         return default
     return value
-
-
-def _accepts_block_weights(policy: "PlacementPolicy") -> bool:
-    """Whether a policy's ``assign`` takes the ``block_weights`` keyword.
-
-    Probed via the signature (rather than try/except TypeError around the
-    call) so a TypeError raised *inside* a capacity-aware policy surfaces
-    instead of silently re-running the placement capacity-blind.
-    """
-    try:
-        parameters = inspect.signature(policy.assign).parameters
-    except (TypeError, ValueError):  # builtins / exotic callables
-        return False
-    return "block_weights" in parameters or any(
-        parameter.kind is inspect.Parameter.VAR_KEYWORD
-        for parameter in parameters.values()
-    )
 
 
 class PlacementPolicy:
@@ -565,12 +544,6 @@ def _step_block(
     return metrics, block._last_cluster_epoch
 
 
-def _run_block(
-    num_epochs: int, warmup: int, index: int, block: MultiSourceExecutor
-) -> ClusterMetrics:
-    return block.run(num_epochs, warmup_epochs=warmup)
-
-
 def _block_sp_backlog(index: int, block: MultiSourceExecutor) -> int:
     return block.sp_backlog_records()
 
@@ -626,7 +599,7 @@ class ShardedClusterExecutor:
         ``migration`` enables dynamic re-placement: the policy is consulted
         after every epoch and its decisions are executed as live migrations
         (:meth:`migrate`).  Without a policy the placement is frozen at
-        construction and the executor behaves exactly as before.
+        construction; the blocks step the same lockstep loop with no moves.
         """
         if num_blocks <= 0:
             raise SimulationError(f"num_blocks must be positive, got {num_blocks!r}")
@@ -654,13 +627,9 @@ class ShardedClusterExecutor:
         ]
         block_weights = [node.ingress_bandwidth_mbps for node in self._block_nodes]
 
-        if _accepts_block_weights(self.placement):
-            assignment = list(
-                self.placement.assign(sources, num_blocks, block_weights=block_weights)
-            )
-        else:
-            # Custom policies predating capacity-aware placement.
-            assignment = list(self.placement.assign(sources, num_blocks))
+        assignment = list(
+            self.placement.assign(sources, num_blocks, block_weights=block_weights)
+        )
         if len(assignment) != len(sources):
             raise SimulationError(
                 f"placement {self.placement.name!r} returned {len(assignment)} "
@@ -702,6 +671,7 @@ class ShardedClusterExecutor:
         self.migration = migration
         self._migration_events: List[MigrationEvent] = []
         self._placement_epochs: List[Dict[str, int]] = []
+        self._last_block_epochs: List[ClusterEpochMetrics] = []
         self._last_cluster_epoch: Optional[ClusterEpochMetrics] = None
 
     # -- stepping seams ------------------------------------------------------------
@@ -847,6 +817,7 @@ class ShardedClusterExecutor:
         for block_metrics, cluster_epoch in self._map_blocks(_step_block):
             metrics.update(block_metrics)
             block_epochs.append(cluster_epoch)
+        self._last_block_epochs = block_epochs
         self._last_cluster_epoch = ClusterEpochMetrics.merge(block_epochs)
         if self.migration is not None:
             decisions = self.migration.decide(
@@ -879,13 +850,22 @@ class ShardedClusterExecutor:
     def run(
         self, num_epochs: int, warmup_epochs: Optional[int] = None
     ) -> ClusterMetrics:
-        """Run ``num_epochs`` epochs on every block; returns fleet-wide metrics.
+        """Run ``num_epochs`` lockstep epochs; returns fleet-wide metrics.
 
-        The result aggregates every source's timeline plus the summed
-        shared-resource measurements of all blocks
-        (:meth:`ClusterMetrics.merged`); ``metadata`` carries the block
-        structure (placement report and per-block summaries).  With one block
-        this is numerically identical to :meth:`MultiSourceExecutor.run`.
+        Every epoch goes through :meth:`run_epoch`, so a migration policy, if
+        set, acts at each epoch boundary.  The result holds one
+        :class:`RunMetrics` per source, continuous across moves, and the
+        blocks' shared-resource measurements summed per epoch.  With one
+        block this is numerically identical to :meth:`MultiSourceExecutor.run`.
+
+        ``metadata`` carries the placement report and ``per_block_summary``:
+        one :meth:`ClusterMetrics.summary` per block over that block's
+        measurements and the sources assigned to it at the end of the run.
+        Without migration each entry equals what the block reports when run
+        on its own; under migration a moved source counts, with its whole
+        timeline, on its final block.  A run with a policy also records the
+        policy name, its moves, the per-epoch placement and the final
+        assignment.
 
         Blocks accumulate pipeline and carryover state as they step, so a run
         must start from a fresh executor: calling ``run`` after any epoch has
@@ -903,37 +883,9 @@ class ShardedClusterExecutor:
         warmup = (
             self.cluster_config.warmup_epochs if warmup_epochs is None else warmup_epochs
         )
-        if self.migration is not None:
-            return self._run_lockstep(num_epochs, warmup)
-        # Without migration, blocks never share state, so running each block
-        # to completion is numerically identical to lockstep stepping (which
-        # run_epoch still offers for per-epoch drivers) and reuses
-        # MultiSourceExecutor.run's metric assembly instead of mirroring it.
-        block_metrics = self._map_blocks(partial(_run_block, num_epochs, warmup))
-        self._epoch = num_epochs
-        for block_index, metrics in enumerate(block_metrics):
-            metrics.metadata["block"] = block_index
-        return ClusterMetrics.merged(
-            block_metrics,
-            metadata={
-                **self._run_metadata(),
-                "per_block_summary": [m.summary() for m in block_metrics],
-            },
-        )
-
-    def _run_lockstep(self, num_epochs: int, warmup: int) -> ClusterMetrics:
-        """Run with dynamic re-placement: lockstep epochs, policy in the loop.
-
-        Sources move between blocks mid-run, so per-source timelines are
-        collected fleet-wide (one :class:`RunMetrics` per source, continuous
-        across moves) instead of per block; the per-block shared-resource
-        measurements still merge into one fleet view per epoch.  A policy
-        that never migrates reproduces the per-block-completion path of
-        :meth:`run` bit-exactly (test-enforced): blocks only interact
-        through executed moves.
-        """
+        epoch_duration_s = self.cluster_config.config.epoch.duration_s
         cluster = ClusterMetrics(
-            epoch_duration_s=self.cluster_config.config.epoch.duration_s,
+            epoch_duration_s=epoch_duration_s,
             warmup_epochs=warmup,
             metadata=self._run_metadata(),
         )
@@ -943,193 +895,36 @@ class ShardedClusterExecutor:
         for block in self.blocks:
             _, runs = block._prepare_run_collectors(warmup)
             per_source_runs.update(runs)
+        block_histories: List[List[ClusterEpochMetrics]] = [[] for _ in self.blocks]
         for _ in range(num_epochs):
             epoch_metrics = self.run_epoch()
             for name, em in epoch_metrics.items():
                 per_source_runs[name].record(em)
             cluster.record_cluster_epoch(self._last_cluster_epoch)
+            for history, block_epoch in zip(block_histories, self._last_block_epochs):
+                history.append(block_epoch)
         for name, run_metrics in per_source_runs.items():
             cluster.register_source(name, run_metrics)
-        cluster.metadata.update(
-            {
-                "migration_policy": self.migration.name,
-                "migrations": [
-                    event.as_dict() for event in self._migration_events
-                ],
-                "placement_epochs": [
-                    dict(snapshot) for snapshot in self._placement_epochs
-                ],
-                "final_assignment": self.assignment(),
-            }
-        )
-        return cluster
-
-
-class ShardedCoLocatedExecutor:
-    """A fleet of co-located queries tiled across K building blocks.
-
-    The multi-query generalisation of :class:`ShardedClusterExecutor`: every
-    block's stream processor is shared by several queries
-    (:class:`~repro.simulation.multiquery.CoLocatedBlockExecutor`) instead of
-    one.  The placement policy is applied to the *flattened* fleet — every
-    query's sources concatenated in query order — in a single invocation, so
-    round-robin deals consecutive sources (and single-source queries) across
-    blocks instead of restarting at block 0 per query, and byte-rate
-    balancing packs against fleet-wide block load rather than balancing each
-    query in isolation.  A query keeps its ``sp_compute_share`` and
-    ``ingress_weight`` on every block that hosts a slice of its fleet, and
-    blocks a query has no sources on simply do not host it.  Fleet-wide
-    aggregation merges each query's per-block
-    :class:`~repro.simulation.metrics.ClusterMetrics` into one entry of a
-    :class:`~repro.simulation.metrics.MultiQueryMetrics`.
-    """
-
-    def __init__(
-        self,
-        queries: Sequence[QuerySpec],
-        num_blocks: int,
-        placement: PlacementLike = "round_robin",
-        stream_processor: Optional[StreamProcessorNode] = None,
-        warmup_epochs: int = 0,
-        redistribute_idle_compute: bool = True,
-        record_mode: str = "object",
-    ) -> None:
-        if num_blocks <= 0:
-            raise SimulationError(f"num_blocks must be positive, got {num_blocks!r}")
-        if not queries:
-            raise SimulationError("sharded co-located executor needs >= 1 query")
-
-        self.queries = list(queries)
-        self.placement = make_placement(placement)
-        self.warmup_epochs = warmup_epochs
-
-        flat_sources = [spec for query in self.queries for spec in query.sources]
-        flat_blocks = list(self.placement.assign(flat_sources, num_blocks))
-        if len(flat_blocks) != len(flat_sources):
-            raise SimulationError(
-                f"placement {self.placement.name!r} returned {len(flat_blocks)} "
-                f"assignments for {len(flat_sources)} sources"
-            )
-        per_block_queries: List[List[QuerySpec]] = [[] for _ in range(num_blocks)]
-        assignment: Dict[str, Dict[str, int]] = {}
-        cursor = 0
-        for query in self.queries:
-            blocks = flat_blocks[cursor : cursor + len(query.sources)]
-            cursor += len(query.sources)
-            groups: List[List[SourceSpec]] = [[] for _ in range(num_blocks)]
-            for spec, block in zip(query.sources, blocks):
-                if not 0 <= block < num_blocks:
-                    raise SimulationError(
-                        f"placement {self.placement.name!r} sent {spec.name!r} "
-                        f"to block {block}, but only blocks 0.."
-                        f"{num_blocks - 1} exist"
-                    )
-                groups[block].append(spec)
-            assignment[query.name] = {
-                spec.name: block for spec, block in zip(query.sources, blocks)
-            }
-            for block, shard in enumerate(shard_query_sources(query, groups)):
-                if shard is not None:
-                    per_block_queries[block].append(shard)
-        # Blocks hosting no query sources stay as idle blocks stepping
-        # zero-byte epochs (a tiling wider than the fleet is not an error);
-        # they take the fleet's epoch duration since they have no query of
-        # their own to read it from.
-        self._assignment = assignment
-        epoch_duration_s = self.queries[0].config.epoch.duration_s
-        self.blocks: List[CoLocatedBlockExecutor] = [
-            CoLocatedBlockExecutor(
-                queries=hosted,
-                stream_processor=stream_processor,
-                warmup_epochs=warmup_epochs,
-                redistribute_idle_compute=redistribute_idle_compute,
-                record_mode=record_mode,
+        cluster.metadata["per_block_summary"] = [
+            ClusterMetrics(
                 epoch_duration_s=epoch_duration_s,
-            )
-            for hosted in per_block_queries
+                warmup_epochs=warmup,
+                per_source={spec.name: per_source_runs[spec.name] for spec in group},
+                cluster_epochs=history,
+            ).summary()
+            for group, history in zip(self._groups, block_histories)
         ]
-        self._epoch = 0
-
-    # -- introspection -----------------------------------------------------------
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def num_queries(self) -> int:
-        return len(self.queries)
-
-    def query_names(self) -> List[str]:
-        return [query.name for query in self.queries]
-
-    def assignment(self) -> Dict[str, Dict[str, int]]:
-        """Copy of the query -> source -> block assignment."""
-        return {name: dict(mapping) for name, mapping in self._assignment.items()}
-
-    def blocks_of(self, query_name: str) -> List[int]:
-        """Sorted block indices hosting a slice of ``query_name``'s fleet."""
-        if query_name not in self._assignment:
-            raise SimulationError(f"unknown query {query_name!r}")
-        return sorted(set(self._assignment[query_name].values()))
-
-    def verify_record_conservation(self) -> List[str]:
-        """Conservation violations across every block (empty means none)."""
-        violations: List[str] = []
-        for index, block in enumerate(self.blocks):
-            violations.extend(
-                f"block {index}: {violation}"
-                for violation in block.verify_record_conservation()
+        if self.migration is not None:
+            cluster.metadata.update(
+                {
+                    "migration_policy": self.migration.name,
+                    "migrations": [
+                        event.as_dict() for event in self._migration_events
+                    ],
+                    "placement_epochs": [
+                        dict(snapshot) for snapshot in self._placement_epochs
+                    ],
+                    "final_assignment": self.assignment(),
+                }
             )
-        return violations
-
-    # -- execution ----------------------------------------------------------------
-
-    def run_epoch(self) -> Dict[str, Dict[str, EpochMetrics]]:
-        """Step every block one epoch in lockstep.
-
-        Returns per-source epoch metrics nested under each query's name,
-        combined across the blocks hosting the query (source names are
-        disjoint across blocks).
-        """
-        self._epoch += 1
-        metrics: Dict[str, Dict[str, EpochMetrics]] = {}
-        for block in self.blocks:
-            for name, per_source in block.run_epoch().items():
-                metrics.setdefault(name, {}).update(per_source)
-        return metrics
-
-    def run(
-        self, num_epochs: int, warmup_epochs: Optional[int] = None
-    ) -> MultiQueryMetrics:
-        """Run every block for ``num_epochs``; returns fleet-wide metrics.
-
-        Blocks never share state, so each block runs to completion and the
-        per-block results merge afterwards
-        (:meth:`MultiQueryMetrics.merged`), mirroring
-        :meth:`ShardedClusterExecutor.run`.  Reuse of a stepped executor
-        raises :class:`SimulationError`.
-        """
-        if num_epochs <= 0:
-            raise SimulationError(f"num_epochs must be positive, got {num_epochs!r}")
-        if self._epoch != 0 or any(block.epochs_run != 0 for block in self.blocks):
-            stepped = max(self._epoch, *(block.epochs_run for block in self.blocks))
-            raise SimulationError(
-                f"run() needs a fresh executor, but {stepped} epoch(s) have "
-                "already been stepped; build a new executor for a new run"
-            )
-        warmup = self.warmup_epochs if warmup_epochs is None else warmup_epochs
-        block_metrics = [
-            block.run(num_epochs, warmup_epochs=warmup) for block in self.blocks
-        ]
-        for index, metrics in enumerate(block_metrics):
-            metrics.metadata["block"] = index
-        return MultiQueryMetrics.merged(
-            block_metrics,
-            metadata={
-                "num_queries": self.num_queries,
-                "num_blocks": self.num_blocks,
-                "placement": self.placement.name,
-                "assignment": self.assignment(),
-            },
-        )
+        return cluster

@@ -27,10 +27,10 @@ import numpy as np
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from ..config import PINGMESH_RECORD_BYTES
 from ..errors import WorkloadError, require_count, require_finite
 from ..query.builder import Query, s2s_probe_query, t2t_probe_query
 from ..query.records import (
-    PINGMESH_RECORD_BYTES,
     IpToTorTable,
     PingmeshRecord,
     RecordBatch,
@@ -159,6 +159,12 @@ class PingmeshConfig:
         )
 
 
+def pingmesh_rate_mbps(records_per_epoch: int) -> float:
+    """Nominal input rate, in Mbps, of ``records_per_epoch`` probe records
+    per one-second epoch."""
+    return records_per_epoch * PINGMESH_RECORD_BYTES * 8.0 / 1e6
+
+
 class PingmeshWorkload:
     """Generates the probe stream observed by one data source node.
 
@@ -193,7 +199,7 @@ class PingmeshWorkload:
     @property
     def input_rate_mbps(self) -> float:
         """Nominal input rate implied by the configuration, in Mbps."""
-        return self.config.records_per_epoch * 86 * 8.0 / 1e6
+        return pingmesh_rate_mbps(self.config.records_per_epoch)
 
     @property
     def anomalous_peers(self) -> frozenset:

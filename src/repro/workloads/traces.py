@@ -13,6 +13,7 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..config import PINGMESH_RECORD_BYTES
 from ..errors import WorkloadError
 from ..query.records import PingmeshRecord, Record, record_size_bytes
 
@@ -91,7 +92,7 @@ class TraceStats:
     def mean_rate_mbps(self) -> float:
         if self.mean_records_per_epoch <= 0:
             return 0.0
-        return self.mean_records_per_epoch * 86 * 8.0 / 1e6
+        return self.mean_records_per_epoch * PINGMESH_RECORD_BYTES * 8.0 / 1e6
 
 
 def pingmesh_trace_stats(trace: Trace, high_latency_ms: float = 5.0) -> TraceStats:

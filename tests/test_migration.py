@@ -16,10 +16,16 @@ from repro.scenarios import (
     WorkloadSpec,
 )
 from repro.scenarios.setups import HotspotWorkload, make_setup
-from repro.simulation.metrics import ClusterEpochMetrics
-from repro.simulation.multisource import MultiSourceConfig, homogeneous_sources
+from repro.simulation.metrics import ClusterEpochMetrics, ClusterMetrics
+from repro.simulation.multisource import (
+    MultiSourceConfig,
+    MultiSourceExecutor,
+    homogeneous_sources,
+)
 from repro.simulation.node import StreamProcessorNode
 from repro.simulation.sharding import (
+    MigrationDecision,
+    MigrationPolicy,
     NeverMigrate,
     SaturationMigrationPolicy,
     ShardedClusterExecutor,
@@ -40,6 +46,14 @@ def fleet(setup, num_sources, seed=10, budget=1.0):
     )
 
 
+def block_config(setup, ingress_mbps, record_mode):
+    return MultiSourceConfig(
+        config=setup.config,
+        stream_processor=StreamProcessorNode(ingress_bandwidth_mbps=ingress_mbps),
+        record_mode=record_mode,
+    )
+
+
 def build(setup, num_sources=4, num_blocks=2, ingress_mbps=0.5,
           record_mode="object", migration=None, seed=10, placement="round_robin"):
     return ShardedClusterExecutor(
@@ -48,13 +62,41 @@ def build(setup, num_sources=4, num_blocks=2, ingress_mbps=0.5,
         sources=fleet(setup, num_sources, seed=seed),
         num_blocks=num_blocks,
         placement=placement,
-        cluster_config=MultiSourceConfig(
-            config=setup.config,
-            stream_processor=StreamProcessorNode(ingress_bandwidth_mbps=ingress_mbps),
-            record_mode=record_mode,
-        ),
+        cluster_config=block_config(setup, ingress_mbps, record_mode),
         migration=migration,
     )
+
+
+def standalone_blocks(setup, executor, ingress_mbps, record_mode, num_epochs,
+                      warmup):
+    """One standalone ``MultiSourceExecutor.run`` per block group of
+    ``executor``'s placement, on a fresh copy of ``build``'s fleet."""
+    assignment = executor.assignment()
+    specs = fleet(setup, len(assignment))
+    return [
+        MultiSourceExecutor(
+            plan=setup.plan,
+            cost_model=setup.cost_model,
+            sources=[spec for spec in specs if assignment[spec.name] == block],
+            cluster_config=block_config(setup, ingress_mbps, record_mode),
+        ).run(num_epochs, warmup_epochs=warmup)
+        for block in range(executor.num_blocks)
+    ]
+
+
+def fleet_view(blocks):
+    """The fleet-wide metrics of independent block runs: every source's
+    timeline, block by block, and the blocks' epochs summed index-wise."""
+    view = ClusterMetrics(
+        epoch_duration_s=blocks[0].epoch_duration_s,
+        warmup_epochs=blocks[0].warmup_epochs,
+    )
+    for block in blocks:
+        for name, run_metrics in block.per_source.items():
+            view.register_source(name, run_metrics)
+    for parts in zip(*(block.cluster_epochs for block in blocks)):
+        view.record_cluster_epoch(ClusterEpochMetrics.merge(parts))
+    return view
 
 
 def link_queues_consistent(executor):
@@ -171,28 +213,65 @@ class TestMigrationMechanics:
 
 
 class TestDisabledMigrationEquivalence:
-    @pytest.mark.parametrize("record_mode", ["object", "batched"])
+    @pytest.mark.parametrize("record_mode", ["object", "batched", "arena"])
     def test_never_migrating_run_matches_static_run_exactly(self, setup, record_mode):
         """Acceptance: with migration disabled (or a policy that never
-        moves), the sharded executor's output is bit-identical to the
-        static per-block-completion path."""
+        moves), the lockstep fleet run is bit-identical to running every
+        block to completion on its own."""
         static = build(setup, ingress_mbps=0.2, record_mode=record_mode)
         dynamic = build(
             setup, ingress_mbps=0.2, record_mode=record_mode,
             migration=NeverMigrate(),
         )
-        a = static.run(12, warmup_epochs=3)
-        b = dynamic.run(12, warmup_epochs=3)
-        assert b.summary() == a.summary()
-        assert sorted(b.source_names()) == sorted(a.source_names())
-        for name in a.source_names():
-            assert b.per_source[name].epochs == a.per_source[name].epochs
-        for mine, theirs in zip(b.cluster_epochs, a.cluster_epochs):
-            assert mine == theirs
-        assert b.num_migrations() == 0
+        blocks = standalone_blocks(setup, static, 0.2, record_mode, 12, 3)
+        a = fleet_view(blocks)
+        for executor in (static, dynamic):
+            b = executor.run(12, warmup_epochs=3)
+            assert b.summary() == a.summary()
+            assert sorted(b.source_names()) == sorted(a.source_names())
+            for name in a.source_names():
+                assert b.per_source[name].epochs == a.per_source[name].epochs
+            for mine, theirs in zip(b.cluster_epochs, a.cluster_epochs):
+                assert mine == theirs
+            assert len(b.cluster_epochs) == len(a.cluster_epochs)
+            assert b.metadata["per_block_summary"] == [m.summary() for m in blocks]
+            assert b.num_migrations() == 0
         timeline = b.placement_timeline()
         assert len(timeline) == 12
         assert all(snapshot == dynamic.assignment() for snapshot in timeline)
+
+
+class _MoveOnce(MigrationPolicy):
+    """Moves ``source-0`` from block 0 to block 1 after epoch 2."""
+
+    name = "move-once"
+
+    def decide(self, epoch, block_epochs, assignment, offered_bytes):
+        if epoch == 2:
+            return [MigrationDecision("source-0", 0, 1)]
+        return []
+
+
+class TestPerBlockSummary:
+    def test_moved_source_counts_on_its_final_block(self, setup):
+        executor = build(setup, migration=_MoveOnce())
+        metrics = executor.run(6, warmup_epochs=0)
+        assert metrics.num_migrations() == 1
+        final = metrics.metadata["final_assignment"]
+        per_block = metrics.metadata["per_block_summary"]
+        assert [entry["num_sources"] for entry in per_block] == [1.0, 3.0]
+        for block, entry in enumerate(per_block):
+            assert entry["aggregate_throughput_mbps"] == pytest.approx(
+                sum(
+                    metrics.per_source[name].throughput_mbps()
+                    for name, home in final.items()
+                    if home == block
+                )
+            )
+        # The blocks' own link measurements partition the fleet's.
+        assert sum(entry["network_sent_mbps"] for entry in per_block) == (
+            pytest.approx(metrics.network_sent_mbps())
+        )
 
 
 class TestSaturationPolicy:

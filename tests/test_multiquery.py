@@ -22,7 +22,6 @@ from repro.simulation.multisource import (
     homogeneous_sources,
 )
 from repro.simulation.node import StreamProcessorNode
-from repro.simulation.sharding import ShardedCoLocatedExecutor
 
 
 @pytest.fixture(scope="module")
@@ -336,124 +335,6 @@ class TestColocatedConservation:
         assert executor.verify_record_conservation() == []
 
 
-class TestShardedCoLocated:
-    def queries(self, setup, sources_per_query=4):
-        return [
-            make_query(
-                setup, "alpha",
-                all_sp_fleet(setup, sources_per_query, seed=10, prefix="a"),
-                share=0.6, weight=2.0,
-            ),
-            make_query(
-                setup, "beta",
-                all_sp_fleet(setup, sources_per_query, seed=40, prefix="b"),
-                share=0.4, weight=1.0,
-            ),
-        ]
-
-    def test_k1_matches_colocated_exactly(self, setup):
-        sp = lambda: StreamProcessorNode(ingress_bandwidth_mbps=2.0)
-        direct = CoLocatedBlockExecutor(
-            self.queries(setup), stream_processor=sp()
-        ).run(10, warmup_epochs=2)
-        sharded = ShardedCoLocatedExecutor(
-            self.queries(setup), num_blocks=1, stream_processor=sp()
-        ).run(10, warmup_epochs=2)
-        for name in direct.query_names():
-            assert (
-                sharded.per_query[name].summary()
-                == direct.per_query[name].summary()
-            )
-            for a, b in zip(
-                sharded.per_query[name].cluster_epochs,
-                direct.per_query[name].cluster_epochs,
-            ):
-                assert a == b
-
-    def test_partitions_each_query_across_blocks(self, setup):
-        executor = ShardedCoLocatedExecutor(
-            self.queries(setup),
-            num_blocks=2,
-            stream_processor=StreamProcessorNode(ingress_bandwidth_mbps=5.0),
-        )
-        assert executor.num_blocks == 2
-        assert executor.blocks_of("alpha") == [0, 1]
-        assert executor.blocks_of("beta") == [0, 1]
-        assignment = executor.assignment()
-        assert set(assignment) == {"alpha", "beta"}
-        assert sorted(assignment["alpha"].values()) == [0, 0, 1, 1]
-        metrics = executor.run(8, warmup_epochs=2)
-        assert executor.verify_record_conservation() == []
-        assert metrics.per_query["alpha"].num_sources == 4
-        assert metrics.num_queries == 2
-
-    def test_single_source_queries_spread_across_blocks(self, setup):
-        """Regression: the placement runs once over the flattened fleet, so
-        four one-source queries deal out round-robin across two blocks —
-        per-query placement would restart at block 0 every time, leave block
-        1 empty, and reject the configuration."""
-        queries = [
-            make_query(
-                setup, f"q{i}", all_sp_fleet(setup, 1, seed=10 * (i + 1),
-                                             prefix=f"q{i}-src"),
-                share=0.25,
-            )
-            for i in range(4)
-        ]
-        executor = ShardedCoLocatedExecutor(
-            queries,
-            num_blocks=2,
-            stream_processor=StreamProcessorNode(ingress_bandwidth_mbps=5.0),
-        )
-        assert [executor.blocks_of(f"q{i}") for i in range(4)] == [
-            [0], [1], [0], [1]
-        ]
-        metrics = executor.run(6, warmup_epochs=0)
-        assert executor.verify_record_conservation() == []
-        assert metrics.num_queries == 4
-
-    def test_query_with_fewer_sources_than_blocks(self, setup):
-        """A query absent from a block simply is not hosted there."""
-        queries = [
-            make_query(
-                setup, "wide", all_sp_fleet(setup, 4, seed=10, prefix="w"),
-                share=0.5,
-            ),
-            make_query(
-                setup, "narrow", all_sp_fleet(setup, 1, seed=40, prefix="n"),
-                share=0.5,
-            ),
-        ]
-        executor = ShardedCoLocatedExecutor(
-            queries,
-            num_blocks=2,
-            stream_processor=StreamProcessorNode(ingress_bandwidth_mbps=5.0),
-        )
-        assert executor.blocks_of("narrow") == [0]
-        metrics = executor.run(6, warmup_epochs=0)
-        assert metrics.per_query["narrow"].num_sources == 1
-        assert metrics.per_query["wide"].num_sources == 4
-
-    def test_idle_blocks_step_and_reuse_rejected(self, setup):
-        """Regression: a tiling wider than the fleet used to be a hard
-        SimulationError; idle blocks must construct and step zero-byte
-        epochs instead (they can host migrated sources later)."""
-        queries = [make_query(setup, "tiny", all_sp_fleet(setup, 1))]
-        wide = ShardedCoLocatedExecutor(queries, num_blocks=2)
-        assert wide.num_blocks == 2
-        metrics = wide.run(3, warmup_epochs=0)
-        assert metrics.query_names() == ["tiny"]
-        assert wide.verify_record_conservation() == []
-        executor = ShardedCoLocatedExecutor(
-            self.queries(setup),
-            num_blocks=2,
-            stream_processor=StreamProcessorNode(ingress_bandwidth_mbps=5.0),
-        )
-        executor.run_epoch()
-        with pytest.raises(SimulationError, match="fresh executor"):
-            executor.run(3)
-
-
 class TestMultiQueryMetrics:
     def cluster(self, latency=1.0, epochs=3):
         from repro.simulation.metrics import ClusterEpochMetrics, EpochMetrics
@@ -513,27 +394,3 @@ class TestMultiQueryMetrics:
         metrics.register_query("a", self.cluster())
         with pytest.raises(SimulationError):
             metrics.register_query("a", self.cluster())
-
-    def test_merged_validations(self):
-        with pytest.raises(SimulationError):
-            MultiQueryMetrics.merged([])
-        one = MultiQueryMetrics(epoch_duration_s=1.0)
-        other = MultiQueryMetrics(epoch_duration_s=2.0)
-        with pytest.raises(SimulationError):
-            MultiQueryMetrics.merged([one, other])
-
-    def test_merged_combines_blocks_per_query(self):
-        block0 = MultiQueryMetrics(epoch_duration_s=1.0)
-        cluster0 = self.cluster()
-        block0.register_query("q", cluster0)
-        block1 = MultiQueryMetrics(epoch_duration_s=1.0)
-        block1_cluster = self.cluster()
-        # Rename the source so the merge across blocks stays disjoint.
-        block1_cluster.per_source["other"] = block1_cluster.per_source.pop("src")
-        block1.register_query("q", block1_cluster)
-        fleet = MultiQueryMetrics.merged([block0, block1])
-        assert fleet.num_queries == 1
-        assert fleet.per_query["q"].num_sources == 2
-        assert fleet.aggregate_throughput_mbps() == pytest.approx(
-            2 * cluster0.aggregate_throughput_mbps()
-        )

@@ -29,6 +29,7 @@ from repro.scenarios import (
     TilingSpec,
     WorkloadSpec,
 )
+from repro.scenarios import runner as runner_module
 from repro.scenarios.loader import spec_from_dict
 from repro.scenarios.setups import (
     CLUSTER_CAPACITY_INPUT_MULTIPLE,
@@ -686,6 +687,26 @@ class TestRunnerPlumbing:
         parallel_metrics = run(2)
         assert_runs_identical(serial_metrics, parallel_metrics)
         assert serial_metrics.metadata == parallel_metrics.metadata
+
+    def test_parallel_kind_raises_when_the_pool_diverges(self, monkeypatch):
+        """The parallel kind is CI's serial-versus-pool guard, so a run whose
+        two halves differ must fail rather than report ``identical: False``."""
+        spec = spec_from_dict(
+            {
+                "scenario": {"name": "diverge", "kind": "parallel"},
+                "workload": {"records_per_epoch": 60},
+                "fleet": {"sources": 4},
+                "tiling": {"blocks": 2, "workers": 2},
+                "sweep": {"strategies": ["All-SP"]},
+                "run": {"epochs": 3, "parallel_min_speedup": 0},
+            }
+        )
+        assert ScenarioRunner().run(spec).raw["All-SP"]["identical"] is True
+        monkeypatch.setattr(
+            runner_module, "_cluster_metrics_identical", lambda a, b: False
+        )
+        with pytest.raises(SimulationError, match="diverged"):
+            ScenarioRunner().run(spec)
 
     def test_spec_validates_workers(self):
         base = {

@@ -49,6 +49,7 @@ from repro.scenarios import (
 )
 from repro.scenarios import loader as scenario_loader
 from repro.scenarios.runner import KINDS
+from repro.scenarios.setups import _cluster_sp_node, make_setup
 from repro.scenarios.spec import SCENARIO_KINDS
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -281,6 +282,19 @@ class TestKindFields:
 # ---------------------------------------------------------------------------
 # Dict/TOML loading.
 # ---------------------------------------------------------------------------
+
+
+class TestClusterSpNode:
+    @pytest.mark.parametrize("records", [1, 7, 120, 300, 2500])
+    def test_ingress_matches_the_s2s_setup_rate(self, records):
+        """The fleet node's ingress is bit-identical to sizing it from a
+        whole ``s2s_probe`` setup, which it no longer builds."""
+        for multiple in (16.8, 1.3):
+            node = _cluster_sp_node(records, capacity_multiple=multiple)
+            assert node.ingress_bandwidth_mbps == (
+                multiple
+                * make_setup("s2s_probe", records_per_epoch=records).input_rate_mbps
+            )
 
 
 class TestLoader:

@@ -8,12 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.baselines import AllSPStrategy, StaticLoadFactorStrategy
 from repro.errors import SimulationError
 from repro.scenarios.setups import make_setup, make_strategy
-from repro.simulation.metrics import (
-    ClusterEpochMetrics,
-    ClusterMetrics,
-    EpochMetrics,
-    RunMetrics,
-)
+from repro.simulation.metrics import ClusterEpochMetrics
 from repro.simulation.multisource import (
     MultiSourceConfig,
     MultiSourceExecutor,
@@ -376,52 +371,6 @@ class TestClusterMetricsMerging:
             ClusterEpochMetrics.merge([self.epoch(0), self.epoch(1)])
         with pytest.raises(SimulationError):
             ClusterEpochMetrics.merge([])
-
-    def block(self, name, epochs=2):
-        block = ClusterMetrics(epoch_duration_s=1.0)
-        run = RunMetrics(epoch_duration_s=1.0)
-        for e in range(epochs):
-            run.record(
-                EpochMetrics(
-                    epoch=e,
-                    input_bytes=1000.0,
-                    goodput_bytes=900.0,
-                    network_bytes_offered=100.0,
-                    network_bytes_sent=100.0,
-                    network_queue_bytes=0.0,
-                    cpu_used_seconds=0.5,
-                    cpu_budget_seconds=1.0,
-                    sp_cpu_seconds=0.1,
-                    source_backlog_records=0,
-                    latency_s=1.0,
-                )
-            )
-            block.record_cluster_epoch(self.epoch(e))
-        block.register_source(name, run)
-        return block
-
-    def test_cluster_merged_combines_blocks(self):
-        fleet = ClusterMetrics.merged(
-            [self.block("a"), self.block("b")], metadata={"num_blocks": 2}
-        )
-        assert fleet.num_sources == 2
-        assert fleet.metadata["num_blocks"] == 2
-        assert len(fleet.cluster_epochs) == 2
-        assert fleet.cluster_epochs[0].network_capacity_bytes == pytest.approx(320.0)
-        single = self.block("a").aggregate_throughput_mbps()
-        assert fleet.aggregate_throughput_mbps() == pytest.approx(2 * single)
-
-    def test_cluster_merged_validations(self):
-        with pytest.raises(SimulationError):
-            ClusterMetrics.merged([])
-        with pytest.raises(SimulationError):  # duplicate source names
-            ClusterMetrics.merged([self.block("a"), self.block("a")])
-        with pytest.raises(SimulationError):  # differing epoch counts
-            ClusterMetrics.merged([self.block("a"), self.block("b", epochs=3)])
-        other = self.block("b")
-        other.epoch_duration_s = 2.0
-        with pytest.raises(SimulationError):
-            ClusterMetrics.merged([self.block("a"), other])
 
 
 class TestHeterogeneousBlocks:
